@@ -1,4 +1,4 @@
-"""Bounded integer-vector enumeration kernels.
+"""Bounded integer-vector enumeration kernel.
 
 This is the hot numeric path behind line and root enumeration.  The problem
 is always posed in a diagonalized basis: find every integer vector v with
@@ -7,60 +7,33 @@ is always posed in a diagonalized basis: find every integer vector v with
     A @ v == targets          (a few integer linear constraints),
     |v_i| <= bounds[i].
 
-Two interchangeable backends are provided:
+The sweep extends partial assignments one coordinate at a time, in exact
+Python ints.  A partial row carries its remaining square budget
+q_rem = v_0^2 - s - (v_1^2 + ... + v_i^2), which the unassigned coordinates
+must use up exactly, and for each constraint the value still needed from
+them.  Three cuts keep the layers small:
 
-* a numba ``@njit`` depth-first search (default when numba imports), and
-* a pure-numpy layered sweep that extends partial assignments one
-  coordinate at a time and filters with the same windows.
+* each coordinate i >= 1 ranges over |v_i| <= min(bounds[i], isqrt(q_rem));
+* linear reach: |need| <= sum over unassigned k of |a_k| * bounds[k];
+* Cauchy-Schwarz: need^2 <= (sum over unassigned k of a_k^2) * q_rem.
 
-Select with the environment variable ``ADESURF_BACKEND`` set to ``numba``
-or ``numpy``; the choice never changes results, only speed (see
-benchmarks/bench_enum.py).  Both backends rely on the closing-window
-argument: at full depth the residual windows have width zero, so every
-surviving candidate satisfies the constraints exactly.
+At full depth the reach and the budget are zero, so every surviving row
+solves the system exactly.  Rows are extended in ascending order from a
+sorted layer, so the result comes out lexicographically sorted.
 
-All arithmetic is int64; ``check_int64_safety`` refuses inputs whose
-intermediate values could approach overflow.
+``check_int64_safety`` keeps its historical name; it is the work limit on
+rank, box size and constraint ranges, refused before any sweep starts.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
+from math import isqrt
 
 from .errors import EnumerationBoundError
-
-try:  # pragma: no cover - exercised implicitly via backend selection
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-ENV_BACKEND = "ADESURF_BACKEND"
 
 _MAX_RANK = MAX_RANK = 66
 _MAX_BOUND = 1 << 20
 _MAX_LAYER_ROWS = 30_000_000
-
-
-def backend_from_env() -> str:
-    choice = os.environ.get(ENV_BACKEND, "").strip().lower()
-    if not choice:
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice == "numba" and not HAVE_NUMBA:
-        raise EnumerationBoundError("ADESURF_BACKEND=numba but numba is not importable")
-    if choice not in ("numba", "numpy"):
-        raise EnumerationBoundError(f"unknown enumeration backend {choice!r} in {ENV_BACKEND}")
-    return choice
 
 
 def check_int64_safety(s: int, bounds, a_matrix, targets) -> None:
@@ -80,140 +53,52 @@ def check_int64_safety(s: int, bounds, a_matrix, targets) -> None:
             raise EnumerationBoundError("enumeration bound exceeded: linear constraint range")
 
 
-@njit(cache=True)
-def _dfs_kernel(s, bounds, a_matrix, targets):  # pragma: no cover - jitted
-    r = bounds.shape[0]
-    m = a_matrix.shape[0]
-    sqcap = np.zeros(r + 1, np.int64)
-    for i in range(r - 1, 0, -1):
-        sqcap[i] = sqcap[i + 1] + bounds[i] * bounds[i]
-    reach = np.zeros((m, r + 1), np.int64)
-    for j in range(m):
-        for i in range(r - 1, -1, -1):
-            c = a_matrix[j, i]
-            if c < 0:
-                c = -c
-            reach[j, i] = reach[j, i + 1] + c * bounds[i]
-    out = np.empty((1024, r), np.int64)
-    nout = 0
-    v = np.zeros(r, np.int64)
-    plin = np.zeros((m, r + 1), np.int64)
-    qs = np.zeros(r + 1, np.int64)
-    qtarget = np.int64(0)
-    depth = 0
-    v[0] = -bounds[0] - 1
-    while depth >= 0:
-        v[depth] += 1
-        if v[depth] > bounds[depth]:
-            depth -= 1
-            continue
-        x = v[depth]
-        ok = True
-        for j in range(m):
-            rem = targets[j] - (plin[j, depth] + a_matrix[j, depth] * x)
-            w = reach[j, depth + 1]
-            if rem > w or rem < -w:
-                ok = False
-                break
-        if ok:
-            if depth == 0:
-                qt = x * x - s
-                if qt < 0 or qt > sqcap[1]:
-                    ok = False
-                else:
-                    qtarget = qt
-            else:
-                qcur = qs[depth] + x * x
-                if qcur > qtarget or qtarget - qcur > sqcap[depth + 1]:
-                    ok = False
-        if not ok:
-            continue
-        if depth == r - 1:
-            if nout == out.shape[0]:
-                bigger = np.empty((out.shape[0] * 2, r), np.int64)
-                bigger[:nout] = out
-                out = bigger
-            out[nout] = v
-            nout += 1
-            continue
-        for j in range(m):
-            plin[j, depth + 1] = plin[j, depth] + a_matrix[j, depth] * x
-        qs[depth + 1] = np.int64(0) if depth == 0 else qs[depth] + x * x
-        depth += 1
-        v[depth] = -bounds[depth] - 1
-    return out[:nout]
-
-
-def _numpy_kernel(s, bounds, a_matrix, targets):
-    r = bounds.shape[0]
-    m = a_matrix.shape[0]
-    sqcap = np.zeros(r + 1, dtype=np.int64)
-    for i in range(r - 1, 0, -1):
-        sqcap[i] = sqcap[i + 1] + bounds[i] * bounds[i]
-    reach = np.zeros((m, r + 1), dtype=np.int64)
-    for j in range(m):
-        for i in range(r - 1, -1, -1):
-            reach[j, i] = reach[j, i + 1] + abs(int(a_matrix[j, i])) * int(bounds[i])
-
-    v0 = np.arange(-bounds[0], bounds[0] + 1, dtype=np.int64)
-    qtarget = v0 * v0 - s
-    keep = (qtarget >= 0) & (qtarget <= sqcap[1])
-    if m:
-        rem = targets[None, :] - v0[:, None] * a_matrix[:, 0][None, :]
-        keep &= (np.abs(rem) <= reach[:, 1][None, :]).all(axis=1)
-    layer = v0[keep][:, None]
-    qtarget = qtarget[keep]
-    qcur = np.zeros(len(layer), dtype=np.int64)
-    plin = layer * a_matrix[:, 0][None, :] if m else np.zeros((len(layer), 0), dtype=np.int64)
-
-    for i in range(1, r):
-        vi = np.arange(-bounds[i], bounds[i] + 1, dtype=np.int64)
-        k, t = len(layer), len(vi)
-        if k == 0:
-            return np.empty((0, r), dtype=np.int64)
-        if k * t > _MAX_LAYER_ROWS:
-            raise EnumerationBoundError("enumeration bound exceeded: numpy layer too large")
-        rows = np.repeat(np.arange(k), t)
-        cols = np.tile(vi, k)
-        nqcur = qcur[rows] + cols * cols
-        nqt = qtarget[rows]
-        keep = (nqcur <= nqt) & (nqt - nqcur <= sqcap[i + 1])
-        if m:
-            nplin = plin[rows] + cols[:, None] * a_matrix[:, i][None, :]
-            rem = targets[None, :] - nplin
-            keep &= (np.abs(rem) <= reach[:, i + 1][None, :]).all(axis=1)
-            plin = nplin[keep]
-        layer = np.concatenate([layer[rows][keep], cols[keep][:, None]], axis=1)
-        qcur = nqcur[keep]
-        qtarget = nqt[keep]
-    return layer
-
-
 def enumerate_diag(
     s: int,
     bounds: list[int],
     a_matrix: list[list[int]],
     targets: list[int],
-    backend: str | None = None,
 ) -> list[tuple[int, ...]]:
     """All integer vectors in the box solving the quadratic/linear system.
 
-    Returns canonically (lexicographically) sorted tuples, identical for
-    either backend.
+    Returns lexicographically sorted tuples of ints.
     """
     check_int64_safety(s, bounds, a_matrix, targets)
-    b = np.asarray(bounds, dtype=np.int64)
-    if a_matrix:
-        a = np.asarray(a_matrix, dtype=np.int64)
-        t = np.asarray(targets, dtype=np.int64)
-    else:
-        a = np.zeros((0, len(bounds)), dtype=np.int64)
-        t = np.zeros(0, dtype=np.int64)
-    which = backend or backend_from_env()
-    if which == "numba":
-        raw = _dfs_kernel(np.int64(s), b, a, t)
-    elif which == "numpy":
-        raw = _numpy_kernel(np.int64(s), b, a, t)
-    else:
-        raise EnumerationBoundError(f"unknown enumeration backend {which!r}")
-    return sorted(tuple(int(x) for x in row) for row in raw)
+    r = len(bounds)
+    # square budget of the unassigned coordinates i.. (coordinate 0 is the + sign)
+    sq_cap = [0] * (r + 1)
+    for i in range(r - 1, 0, -1):
+        sq_cap[i] = sq_cap[i + 1] + bounds[i] * bounds[i]
+    # per depth: (column of A, [(reach, sum of squares) of the tail] per row)
+    steps = []
+    for i in range(r):
+        tails = [
+            (sum(abs(c) * b for c, b in zip(row[i + 1:], bounds[i + 1:])),
+             sum(c * c for c in row[i + 1:]))
+            for row in a_matrix
+        ]
+        steps.append((tuple(row[i] for row in a_matrix), tails))
+
+    layer = [((), -s, tuple(targets))]
+    for i, (col, tails) in enumerate(steps):
+        cap = sq_cap[i + 1]
+        sign = 1 if i == 0 else -1
+        candidates = 0
+        nxt = []
+        for prefix, q, need in layer:
+            b = bounds[0] if i == 0 else min(bounds[i], isqrt(q))
+            candidates += 2 * b + 1
+            if candidates > _MAX_LAYER_ROWS:
+                raise EnumerationBoundError("enumeration bound exceeded: layer too large")
+            for x in range(-b, b + 1):
+                q2 = q + sign * x * x
+                if q2 < 0 or q2 > cap:
+                    continue
+                need2 = tuple(n - c * x for n, c in zip(need, col))
+                for n, (reach, sq) in zip(need2, tails):
+                    if n > reach or -n > reach or n * n > sq * q2:
+                        break
+                else:
+                    nxt.append((prefix + (x,), q2, need2))
+        layer = nxt
+    return [prefix for prefix, _, _ in layer]

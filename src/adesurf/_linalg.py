@@ -141,10 +141,3 @@ def signature_symmetric(gram: Matrix) -> tuple[int, int, int]:
         used[k] = True
     return pos, neg, zero
 
-
-def is_negative_definite(gram: Matrix) -> bool:
-    n = len(gram)
-    if n == 0:
-        return True
-    pos, neg, zero = signature_symmetric(gram)
-    return neg == n and pos == 0 and zero == 0

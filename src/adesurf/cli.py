@@ -6,9 +6,8 @@ canonical JSON document on stdout (sorted keys, compact separators,
 rationals as "p/q" strings); byte-identical runs for identical inputs.
 
 Exit codes: 0 success, 1 domain error (structured error JSON on stdout),
-2 usage error.  The only environment variables honored are
-ADESURF_VERBOSITY (stderr chatter) and ADESURF_BACKEND (kernel selection;
-never changes output, see _enumkernel).
+2 usage error.  The only environment variable honored is
+ADESURF_VERBOSITY (stderr chatter).
 """
 
 from __future__ import annotations
@@ -504,6 +503,8 @@ def cmd_localmodel(args) -> dict:
 
 
 def cmd_suite(args) -> dict:
+    if args.name != "paper-checks":
+        raise SchemaError("--name", f"unknown suite {args.name!r}")
     return run_suite(args.name, trials=args.trials, maxdeg=args.maxdeg)
 
 

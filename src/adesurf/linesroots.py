@@ -5,7 +5,7 @@ against a constraint set U live on a sphere inside an affine translate of
 the orthogonal complement of U.  When that complement is negative
 definite the sphere is finite, and Cauchy-Schwarz applied to the dual
 basis vectors gives an explicit per-coordinate bound (computed exactly
-over Fraction, never guessed).  The box is then swept by the kernels in
+over Fraction, never guessed).  The box is then swept by the kernel in
 ``_enumkernel``; a wider-margin sweep is what the test oracles use.
 
 Orthogonality sets: the A-type root system of a Hirzebruch model lives
@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import _enumkernel
-from ._linalg import frac_matrix, is_negative_definite, nullspace, rank, rref, solve
+from ._linalg import rref, signature_symmetric
 from .errors import AdesurfError, EnumerationBoundError, OrbitCapExceededError
 from .lattice import (
     KIND_HIRZEBRUCH,
@@ -90,72 +90,46 @@ def coefficient_bounds(
             "coefficient bounds need a diagonal Gram matrix; "
             "enumerate Hirzebruch models through their plane presentation"
         )
-    gram = frac_matrix(model.gram)
+    diag = [model.gram[i][i] for i in range(r)]
     u_vecs = [[Fraction(c) for c in u.coeffs] for u, _ in constraints]
     targets = [Fraction(t) for _, t in constraints]
 
     # drop linearly dependent constraints, checking target consistency
     if u_vecs:
-        aug = [u_vecs[j] + [targets[j]] for j in range(len(u_vecs))]
-        red, pivots = rref(aug)
+        _, pivots = rref([u + [t] for u, t in zip(u_vecs, targets)])
         if r in pivots:
             return None  # inconsistent targets: no solutions at all
-        keep_rows: list[int] = []
-        seen = 0
-        for j in range(len(u_vecs)):
-            if rank([u_vecs[i] for i in keep_rows + [j]]) > seen:
-                keep_rows.append(j)
-                seen += 1
+        _, keep_rows = rref([list(col) for col in zip(*u_vecs)])
         u_vecs = [u_vecs[j] for j in keep_rows]
         targets = [targets[j] for j in keep_rows]
 
     k = len(u_vecs)
-
-    def g_apply(vec):
-        return [sum(gram[i][j] * vec[j] for j in range(r)) for i in range(r)]
-
-    def pair_q(a, b):
-        return sum(a[i] * bi for i, bi in enumerate(g_apply(b)))
-
-    gram_u = [[pair_q(u_vecs[i], u_vecs[j]) for j in range(k)] for i in range(k)]
-
-    # residual lattice: kernel of the constraint forms, must be negative definite
-    forms = [g_apply(u) for u in u_vecs]
-    kernel = nullspace(forms) if forms else nullspace([])
-    if kernel:
-        restricted = [[pair_q(a, b) for b in kernel] for a in kernel]
-        if not is_negative_definite(restricted):
+    gram_u = [[sum(d * a * b for d, a, b in zip(diag, ua, ub)) for ub in u_vecs] for ua in u_vecs]
+    if k:
+        # U-perp is negative definite exactly when gram_U is nondegenerate and
+        # carries all of the ambient form's positive directions.  With no
+        # constraints an indefinite ambient form is refused per coordinate below.
+        pos, _, zero = signature_symmetric(gram_u)
+        if zero or pos != sum(1 for d in diag if d > 0):
             raise EnumerationBoundError(
                 "enumeration bound exceeded: residual lattice is not negative definite"
             )
+    red, _ = rref([row + [Fraction(int(a == b)) for b in range(k)] for a, row in enumerate(gram_u)])
+    inv = [row[k:] for row in red]
 
-    if k:
-        coeffs = solve(gram_u, targets)
-        if coeffs is None:
-            raise EnumerationBoundError(
-                "enumeration bound exceeded: constraint span is degenerate for the pairing"
-            )
-        x_u = [sum(coeffs[j] * u_vecs[j][i] for j in range(k)) for i in range(r)]
-    else:
-        x_u = [Fraction(0)] * r
-
-    q_y = pair_q(x_u, x_u) - self_intersection
+    coeffs = [sum(g * t for g, t in zip(row, targets)) for row in inv]
+    x_u = [sum(c * u[i] for c, u in zip(coeffs, u_vecs)) for i in range(r)]
+    q_y = sum(c * t for c, t in zip(coeffs, targets)) - self_intersection
     if q_y < 0:
         return None  # sphere radius would be imaginary: empty
 
     bounds: list[int] = []
     for i in range(r):
-        w = [Fraction(0)] * r
-        # dual vector of coordinate i for a diagonal +/-1 Gram matrix
-        w[i] = Fraction(1) / gram[i][i]
-        pu = [pair_q(u_vecs[j], w) for j in range(k)]
-        if k:
-            b = solve(gram_u, pu)
-            if b is None:
-                raise EnumerationBoundError("enumeration bound exceeded: degenerate projection")
-            z_sq = pair_q(w, w) - sum(b[j] * pu[j] for j in range(k))
-        else:
-            z_sq = pair_q(w, w)
+        # squared norm of the U-perp part of the dual vector e_i / d_i
+        ui = [u[i] for u in u_vecs]
+        z_sq = Fraction(1, diag[i]) - sum(
+            ua * sum(g * ub for g, ub in zip(row, ui)) for ua, row in zip(ui, inv)
+        )
         q_z = -z_sq
         if q_z < 0:
             raise EnumerationBoundError("enumeration bound exceeded: projection not definite")
@@ -171,7 +145,6 @@ def enumerate_classes(
     constraints: list[tuple[LatticeClass, int]],
     *,
     bound_margin: int = 0,
-    backend: str | None = None,
 ) -> list[LatticeClass]:
     """Complete list of classes with x*x = self_intersection and fixed pairings."""
     diag_model, fwd, back = _diag_setup(model)
@@ -187,7 +160,7 @@ def enumerate_classes(
     for u, t in diag_constraints:
         rows.append([gram[i][i] * u.coeffs[i] for i in range(diag_model.rank)])
         tgts.append(t)
-    sols = _enumkernel.enumerate_diag(self_intersection, bounds, rows, tgts, backend=backend)
+    sols = _enumkernel.enumerate_diag(self_intersection, bounds, rows, tgts)
     found = [back(diag_model.cls(v)) for v in sols]
     return sorted(found, key=lambda c: c.coeffs)
 
@@ -197,7 +170,6 @@ def enumerate_lines(
     fiber_value: int | None = None,
     *,
     bound_margin: int = 0,
-    backend: str | None = None,
 ) -> list[LatticeClass]:
     """All classes with x*x = x*K = -1, optionally with x*f prescribed."""
     constraints = [(model.K, -1)]
@@ -205,9 +177,7 @@ def enumerate_lines(
         if model.fiber_class is None:
             raise AdesurfError("fiber constraint requested on a model without a fiber class")
         constraints.append((model.fiber_class, fiber_value))
-    return enumerate_classes(
-        model, -1, constraints, bound_margin=bound_margin, backend=backend
-    )
+    return enumerate_classes(model, -1, constraints, bound_margin=bound_margin)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +303,6 @@ def enumerate_roots(
     orthogonality_set=("K", "f", "b"),
     *,
     bound_margin: int = 0,
-    backend: str | None = None,
 ) -> RootDatum:
     """All x with x*x = -2 orthogonal to the named classes, as a root datum."""
     constraints: list[tuple[LatticeClass, int]] = []
@@ -353,7 +322,7 @@ def enumerate_roots(
             if model.base_class is None:
                 raise AdesurfError("model has no base class b")
             constraints.append((model.base_class, 0))
-    roots = enumerate_classes(model, -2, constraints, bound_margin=bound_margin, backend=backend)
+    roots = enumerate_classes(model, -2, constraints, bound_margin=bound_margin)
     simple = _simple_roots(model, roots)
     cartan = tuple(
         tuple(-model.pair(a, b) for b in simple) for a in simple

@@ -1,16 +1,24 @@
-"""Independent brute-force enumeration oracle for the tests.
+"""Independent oracles for the enumeration tests.
 
-Plain recursive search over a coefficient box in diagonal coordinates
-(+1, -1, ..., -1), sharing no code with the package kernels.  Pruning is
-restricted to provable infeasibility (square budget, linear reach, and a
-parity cut when every remaining linear coefficient is odd), so the scan
-is exhaustive within the box.
+``brute_force_diag`` is a plain recursive search over a coefficient box in
+diagonal coordinates (+1, -1, ..., -1), sharing no code with the package
+kernel.  Pruning is restricted to provable infeasibility (square budget,
+linear reach, and a parity cut when every remaining linear coefficient is
+odd), so the scan is exhaustive within the box.
+
+``dense_coefficient_bounds`` computes the enumeration box with dense
+Fraction algebra over the whole lattice: a nullspace definiteness test and
+one linear solve per coordinate.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import isqrt
+
+from adesurf._linalg import frac_matrix, nullspace, rank, rref, signature_symmetric, solve
+from adesurf.errors import AdesurfError, EnumerationBoundError
 
 
 def brute_force_diag(s, bounds, rows, targets):
@@ -83,3 +91,99 @@ def literal_box_scan(s, bounds, rows, targets):
 def diag_rows_for_class(model, cls):
     """Constraint row for pair(cls, x) on a diagonal-Gram model."""
     return [model.gram[i][i] * cls.coeffs[i] for i in range(model.rank)]
+
+
+def _is_negative_definite(gram) -> bool:
+    n = len(gram)
+    if n == 0:
+        return True
+    pos, neg, zero = signature_symmetric(gram)
+    return neg == n and pos == 0 and zero == 0
+
+
+def _sqrt_upper(x: Fraction) -> Fraction:
+    if x <= 0:
+        return Fraction(0)
+    p, q = x.numerator, x.denominator
+    return Fraction(isqrt(p * q) + 1, q)
+
+
+def dense_coefficient_bounds(model, self_intersection, constraints):
+    """Per-coordinate box |x_i| <= B_i, or None; same contract as coefficient_bounds."""
+    r = model.rank
+    if any(model.gram[i][j] for i in range(r) for j in range(r) if i != j):
+        raise AdesurfError(
+            "coefficient bounds need a diagonal Gram matrix; "
+            "enumerate Hirzebruch models through their plane presentation"
+        )
+    gram = frac_matrix(model.gram)
+    u_vecs = [[Fraction(c) for c in u.coeffs] for u, _ in constraints]
+    targets = [Fraction(t) for _, t in constraints]
+
+    if u_vecs:
+        aug = [u_vecs[j] + [targets[j]] for j in range(len(u_vecs))]
+        red, pivots = rref(aug)
+        if r in pivots:
+            return None
+        keep_rows: list[int] = []
+        seen = 0
+        for j in range(len(u_vecs)):
+            if rank([u_vecs[i] for i in keep_rows + [j]]) > seen:
+                keep_rows.append(j)
+                seen += 1
+        u_vecs = [u_vecs[j] for j in keep_rows]
+        targets = [targets[j] for j in keep_rows]
+
+    k = len(u_vecs)
+
+    def g_apply(vec):
+        return [sum(gram[i][j] * vec[j] for j in range(r)) for i in range(r)]
+
+    def pair_q(a, b):
+        return sum(a[i] * bi for i, bi in enumerate(g_apply(b)))
+
+    gram_u = [[pair_q(u_vecs[i], u_vecs[j]) for j in range(k)] for i in range(k)]
+
+    # with no constraints nullspace([]) is empty, so this check is skipped
+    forms = [g_apply(u) for u in u_vecs]
+    kernel = nullspace(forms) if forms else nullspace([])
+    if kernel:
+        restricted = [[pair_q(a, b) for b in kernel] for a in kernel]
+        if not _is_negative_definite(restricted):
+            raise EnumerationBoundError(
+                "enumeration bound exceeded: residual lattice is not negative definite"
+            )
+
+    if k:
+        coeffs = solve(gram_u, targets)
+        if coeffs is None:
+            raise EnumerationBoundError(
+                "enumeration bound exceeded: constraint span is degenerate for the pairing"
+            )
+        x_u = [sum(coeffs[j] * u_vecs[j][i] for j in range(k)) for i in range(r)]
+    else:
+        x_u = [Fraction(0)] * r
+
+    q_y = pair_q(x_u, x_u) - self_intersection
+    if q_y < 0:
+        return None
+
+    bounds: list[int] = []
+    for i in range(r):
+        w = [Fraction(0)] * r
+        w[i] = Fraction(1) / gram[i][i]
+        pu = [pair_q(u_vecs[j], w) for j in range(k)]
+        if k:
+            b = solve(gram_u, pu)
+            if b is None:
+                raise EnumerationBoundError("enumeration bound exceeded: degenerate projection")
+            z_sq = pair_q(w, w) - sum(b[j] * pu[j] for j in range(k))
+        else:
+            z_sq = pair_q(w, w)
+        q_z = -z_sq
+        if q_z < 0:
+            raise EnumerationBoundError("enumeration bound exceeded: projection not definite")
+        radius = _sqrt_upper(q_z * q_y)
+        hi = abs(x_u[i]) + radius
+        bounds.append(int(hi))
+    return bounds

@@ -88,6 +88,16 @@ def test_suite_fast_path(capsys):
     }
 
 
+def test_suite_unknown_name_is_schema_error(capsys):
+    code, out = run_cli(capsys, ["suite", "--name", "nope"])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "schema",
+        "path": "--name",
+        "message": "--name: unknown suite 'nope'",
+    }
+
+
 def test_chi_and_ext(capsys):
     code, out = run_cli(
         capsys, ["chi", "--kind", "p2", "--n", "6", "--class", "[3,-1,-1,-1,-1,-1,-1]"]

@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adesurf.errors import AdesurfError, OrbitCapExceededError
-from adesurf.lattice import hirzebruch_blowup, p2_blowup
+from adesurf import _enumkernel
+from adesurf._enumkernel import enumerate_diag
+from adesurf.errors import AdesurfError, EnumerationBoundError, OrbitCapExceededError
+from adesurf.lattice import change_basis, hirzebruch_blowup, p2_blowup, p2_presentation
 from adesurf.linesroots import (
     coefficient_bounds,
     enumerate_classes,
@@ -12,7 +16,12 @@ from adesurf.linesroots import (
     weyl_orbit,
 )
 
-from .oracles import brute_force_diag, diag_rows_for_class, literal_box_scan
+from .oracles import (
+    brute_force_diag,
+    dense_coefficient_bounds,
+    diag_rows_for_class,
+    literal_box_scan,
+)
 
 LINE_COUNTS = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 
@@ -62,13 +71,6 @@ def test_dn_line_configuration(n):
     )
     assert [c.coeffs for c in lines] == want
     assert len(lines) == 2 * n
-
-
-def test_backends_agree():
-    m = p2_blowup(7)
-    a = enumerate_lines(m, backend="numba")
-    b = enumerate_lines(m, backend="numpy")
-    assert a == b
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -127,8 +129,6 @@ def test_coefficient_bounds_refuse_nondiagonal_gram():
 
 
 def test_d_roots_against_oracle():
-    from adesurf.lattice import change_basis, p2_presentation
-
     m = hirzebruch_blowup(5)
     comp = p2_presentation(m)
     k = change_basis(m, comp, m.K)
@@ -258,22 +258,8 @@ def test_unbounded_enumeration_refused():
         enumerate_classes(m, -2, [(m.fiber_class, 0)])
 
 
-def test_backend_env_selection(monkeypatch):
-    from adesurf import _enumkernel as ek
-    from adesurf.errors import EnumerationBoundError
-
-    monkeypatch.setenv(ek.ENV_BACKEND, "numpy")
-    assert ek.backend_from_env() == "numpy"
-    monkeypatch.setenv(ek.ENV_BACKEND, "")
-    assert ek.backend_from_env() in ("numba", "numpy")
-    monkeypatch.setenv(ek.ENV_BACKEND, "numpyy")
-    with pytest.raises(EnumerationBoundError):
-        ek.backend_from_env()
-
-
 def test_kernel_refuses_oversized_boxes():
     from adesurf._enumkernel import check_int64_safety
-    from adesurf.errors import EnumerationBoundError
 
     with pytest.raises(EnumerationBoundError):
         check_int64_safety(-1, [1 << 21], [], [])
@@ -291,3 +277,70 @@ def test_inconsistent_constraints_yield_empty():
         m, -1, [(m.K, 5), (m.base_class, 0), (m.fiber_class, 0)]
     )
     assert got == []
+
+
+@st.composite
+def diag_systems(draw, max_rank):
+    r = draw(st.integers(1, max_rank))
+    bounds = draw(st.lists(st.integers(0, 4), min_size=r, max_size=r))
+    m = draw(st.integers(0, 2))
+    row = st.lists(st.integers(-3, 3), min_size=r, max_size=r)
+    rows = draw(st.lists(row, min_size=m, max_size=m))
+    targets = draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
+    s = draw(st.integers(-4, 4))
+    return s, bounds, rows, targets
+
+
+@settings(max_examples=300, deadline=None)
+@given(diag_systems(max_rank=5))
+def test_kernel_matches_brute_force(system):
+    assert enumerate_diag(*system) == brute_force_diag(*system)
+
+
+@settings(max_examples=150, deadline=None)
+@given(diag_systems(max_rank=3))
+def test_kernel_matches_literal_box_scan(system):
+    assert enumerate_diag(*system) == literal_box_scan(*system)
+
+
+@pytest.mark.parametrize("margin", [0, 2])
+def test_pruned_layers_fit_small_row_budget(monkeypatch, margin):
+    # without the Cauchy-Schwarz cut the largest dP8 layer has ~6e5 candidate
+    # rows at margin 0 and ~9e6 at margin 2
+    monkeypatch.setattr(_enumkernel, "_MAX_LAYER_ROWS", 5000)
+    assert len(enumerate_lines(p2_blowup(8), bound_margin=margin)) == 240
+
+
+def test_layer_guard_refuses(monkeypatch):
+    monkeypatch.setattr(_enumkernel, "_MAX_LAYER_ROWS", 50)
+    with pytest.raises(EnumerationBoundError, match="layer too large"):
+        enumerate_lines(p2_blowup(8))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except AdesurfError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("kind", ["p2", "hirzebruch"])
+@pytest.mark.parametrize("n", range(9))
+def test_coefficient_bounds_match_dense_oracle(kind, n):
+    if kind == "p2":
+        model = p2_blowup(n)
+        named = {"K": model.K}
+    else:
+        source = hirzebruch_blowup(n)
+        model = p2_presentation(source)
+        named = {
+            name: change_basis(source, model, c)
+            for name, c in (("K", source.K), ("f", source.fiber_class), ("b", source.base_class))
+        }
+    sets = [names for names in ("", "K", "Kf", "Kfb", "f") if all(c in named for c in names)]
+    for s in (-2, -1, 0):
+        for names in sets:
+            for t in (-1, 0, 1):
+                cons = [(named[c], t) for c in names]
+                want = _outcome(dense_coefficient_bounds, model, s, cons)
+                assert _outcome(coefficient_bounds, model, s, cons) == want, (s, names, t)
