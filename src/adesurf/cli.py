@@ -409,7 +409,7 @@ def cmd_restrict(args) -> dict:
 
 def cmd_spectral(args) -> dict:
     if args.spectral_action == "analyze":
-        kind, value = load_spectral(args.cover, strict=args.strict)
+        kind, value = load_spectral(args.cover)
         if kind != "cover":
             raise SchemaError("<root>", "analyze expects a cover file with 'coeffs'")
         report = branch_report(value)
@@ -592,7 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
     psub = p.add_subparsers(dest="spectral_action", required=True)
     pa = psub.add_parser("analyze", help="discriminant, branch points, ramification")
     pa.add_argument("--cover", required=True, help="cover JSON file")
-    pa.add_argument("--strict", action="store_true")
     pa.set_defaults(func=cmd_spectral)
     ps = psub.add_parser("sen", help="conic-family discriminant bookkeeping")
     ps.add_argument("--b2", required=True, help="JSON array of rationals")

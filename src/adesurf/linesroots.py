@@ -213,6 +213,14 @@ def _positivity_functional(model: SurfaceModel, roots: list[LatticeClass]) -> li
 
 
 def _simple_roots(model: SurfaceModel, roots: list[LatticeClass]) -> list[LatticeClass]:
+    """Positive roots that are no sum of two positive roots, by descending height.
+
+    The sweep goes up in height: a root is simple when subtracting each
+    simple root found so far leaves no positive root.  This is exact
+    because the (-2)-vectors of a negative-definite lattice form an ADE
+    root system, where a positive root that is not simple stays positive
+    after subtracting some simple root, and that simple root is lower.
+    """
     if not roots:
         return []
     phi = _positivity_functional(model, roots)
@@ -220,14 +228,11 @@ def _simple_roots(model: SurfaceModel, roots: list[LatticeClass]) -> list[Lattic
     def height(c: LatticeClass) -> int:
         return sum(p * v for p, v in zip(phi, c.coeffs))
 
-    positive = [rt for rt in roots if height(rt) > 0]
+    positive = sorted((rt for rt in roots if height(rt) > 0), key=height)
     pos_set = {rt.coeffs for rt in positive}
-    simple = []
+    simple: list[LatticeClass] = []
     for rt in positive:
-        decomposable = any(
-            (rt - other).coeffs in pos_set for other in positive if other.coeffs != rt.coeffs
-        )
-        if not decomposable:
+        if not any((rt - s).coeffs in pos_set for s in simple):
             simple.append(rt)
     simple.sort(key=height, reverse=True)
     return simple

@@ -886,23 +886,18 @@ def verify_extension_chain(maxdeg: int = 8) -> ExtensionChainReport:
 
 
 def branch_pushforward_certificate(maxdeg: int = 6) -> dict:
-    """Certificate consumed by the transform's local-shape query."""
-    fiber = central_fiber_ring(maxdeg)
-    fx, fy, fz, fs = (fiber.var(v) for v in "xyzs")
-    free = check_free(fiber, (fx - fy, fz + fs), ("x", "y", "z"), maxdeg)
+    """Certificate consumed by the transform's local-shape query.
+
+    The split types and the fiber module's freeness are read from
+    ``_split_type_checks``; only the upstairs freeness is checked here.
+    """
+    report = ExtensionChainReport(maxdeg=maxdeg)
+    _split_type_checks(maxdeg, report)
     upstairs = conifold_ring(maxdeg)
     ux, uy, uz, us = (upstairs.var(v) for v in "xyzs")
     free_up = check_free(upstairs, (ux - uy, uz + us), ("x", "y", "z"), maxdeg)
-    l1 = exceptional_degree({(0, 1): Fraction(1)}, {(0, 0): Fraction(1)})
-    base = base_ring(2)
-    bx, by, bz = (base.var(v) for v in "xyz")
-    l2 = exceptional_degree(
-        pulled_back_ideal_generator((bx - by, bz), "A"),
-        pulled_back_ideal_generator((bx - by, bz), "B"),
-    )
-    split = (0, 0) if free.ok and (l1 + l2) == 0 else None
     return {
-        "free_rank_two": free.ok and free_up.ok,
-        "pushforward_split": split,
-        "direct_sum_split": tuple(sorted((l1, l2))),
+        "free_rank_two": report.checks["fiber_module_free"] and free_up.ok,
+        "pushforward_split": report.split_pushforward,
+        "direct_sum_split": report.split_direct_sum,
     }

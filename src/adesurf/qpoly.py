@@ -222,44 +222,17 @@ def squarefree_decomposition(p: QPoly) -> list[tuple[QPoly, int]]:
     return out
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _squarefree_rational_roots(g: QPoly) -> list[Fraction]:
-    """Rational roots of a squarefree polynomial."""
-    roots = []
-    if g.degree < 1:
-        return roots
-    if g(0) == 0:
-        roots.append(Fraction(0))
-        g = g.exact_div(QPoly.x())
-    if g.degree >= 1:
-        ints = g.primitive_int()
-        a0, al = ints[0], ints[-1]
-        if a0 != 0:
-            for p in _divisors(a0):
-                for q in _divisors(al):
-                    for cand in (Fraction(p, q), Fraction(-p, q)):
-                        if g(cand) == 0 and cand not in roots:
-                            roots.append(cand)
-    return sorted(roots)
-
-
 def rational_roots(p: QPoly) -> list[tuple[Fraction, int]]:
-    """Rational roots with multiplicities, ascending by root."""
+    """Rational roots with multiplicities, ascending by root.
+
+    The roots are read off the linear factors over Q of each part of the
+    squarefree decomposition.
+    """
     out: list[tuple[Fraction, int]] = []
     for g, mult in squarefree_decomposition(p):
-        for r in _squarefree_rational_roots(g):
-            out.append((r, mult))
+        for f in irreducible_factors(g):
+            if f.degree == 1:
+                out.append((-f.coeffs[0] / f.coeffs[1], mult))
     return sorted(out)
 
 

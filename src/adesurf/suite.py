@@ -1,8 +1,11 @@
 """The paper-checks suite: every headline claim as one machine check.
 
-Exposed through ``adesurf suite --name paper-checks``.  The pytest
-acceptance module runs the same ground at full sample sizes; this runner
-is the CLI-facing aggregation and reports one pass/fail entry per check.
+Each ``check_*`` function below is the only definition of its claim: its
+samples, seeds and expected values live here.  ``adesurf suite --name
+paper-checks`` aggregates them into one report, and the acceptance tests
+(``tests/test_acceptance.py``) call the same functions under their runtime
+budgets.  Every check returns ``{"name", "pass", "detail"}`` with a
+deterministic, JSON-ready detail (no timings).
 """
 
 from __future__ import annotations
@@ -21,8 +24,17 @@ from .transform import SpectralFiberDatum, check_restriction_compatibility
 
 LINE_COUNTS = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 
+# parts (a)-(d) of verify_extension_chain that the local-model claim names
+_LOCAL_MODEL_CHECKS = (
+    "pushforward_generators",
+    "ideal_generated_over_base",
+    "ideal_free_rank_two",
+    "weil_not_cartier",
+    "dimension_additivity",
+)
 
-def _check_line_counts() -> dict:
+
+def check_line_counts() -> dict:
     counts = {n: len(enumerate_lines(p2_blowup(n))) for n in range(1, 9)}
     return {
         "name": "line_counts_p2_1_to_8",
@@ -31,21 +43,18 @@ def _check_line_counts() -> dict:
     }
 
 
-def _check_root_data() -> dict:
+def check_root_data() -> dict:
     ok = True
     details = {}
     for n in range(2, 11):
-        datum = enumerate_roots(hirzebruch_blowup(n), ("K", "f", "b"))
-        want = [
-            (hirzebruch_blowup(n).exceptional(i) - hirzebruch_blowup(n).exceptional(i + 1)).coeffs
-            for i in range(1, n)
-        ]
-        good = (
+        m = hirzebruch_blowup(n)
+        datum = enumerate_roots(m, ("K", "f", "b"))
+        want = [(m.exceptional(i) - m.exceptional(i + 1)).coeffs for i in range(1, n)]
+        ok = ok and (
             datum.type_label == f"A{n - 1}"
             and len(datum.roots) == n * (n - 1)
             and [a.coeffs for a in datum.simple_roots] == want
         )
-        ok = ok and good
         details[n] = datum.type_label
     e6 = enumerate_roots(p2_blowup(6), ("K",))
     ok = ok and len(e6.roots) == 72 and e6.type_label == "E6"
@@ -58,7 +67,7 @@ def _check_root_data() -> dict:
     return {"name": "root_data_and_orbits", "pass": ok, "detail": details}
 
 
-def _check_ext_dichotomy() -> dict:
+def check_ext_dichotomy() -> dict:
     m = hirzebruch_blowup(2)
     l1, l2 = m.exceptional(1), m.exceptional(2)
     with_c = ext_profile(m, CollisionConfig(((1, 2),)), l1, l2).as_tuple()
@@ -72,7 +81,7 @@ def _check_ext_dichotomy() -> dict:
     }
 
 
-def _check_boundary_degrees() -> dict:
+def check_boundary_degrees() -> dict:
     ok = True
     for n in range(1, 17):
         m = hirzebruch_blowup(n)
@@ -84,19 +93,21 @@ def _check_boundary_degrees() -> dict:
     return {"name": "boundary_degrees", "pass": ok, "detail": {"n_max": 16}}
 
 
-def _check_transform_compat(trials: int = 1000, seed: int = 20151023) -> dict:
-    rng = random.Random(seed)
+def check_transform_compat(trials: int = 1000) -> dict:
+    """Every eighth datum forces a double or triple collision."""
+    rng = random.Random(20151023)
     collided = 0
     good = 0
     for k in range(trials):
         order = rng.choice([12, 30, 144, 720])
         if k % 8 == 0:
-            n = rng.randint(2, 6)
+            n = rng.randint(2, 7)
             p = rng.randrange(order)
-            points = [p, p] + [rng.randrange(order) for _ in range(n - 2)]
+            reps = rng.randint(2, min(3, n))
+            points = [p] * reps + [rng.randrange(order) for _ in range(n - reps)]
             collided += 1
         else:
-            n = rng.randint(0, 6)
+            n = rng.randint(0, 7)
             points = [rng.randrange(order) for _ in range(n)]
         datum = SpectralFiberDatum(order=order, points=tuple(points))
         good += check_restriction_compatibility(hirzebruch_blowup(n), datum)
@@ -108,11 +119,17 @@ def _check_transform_compat(trials: int = 1000, seed: int = 20151023) -> dict:
     }
 
 
-def _check_local_models(maxdeg: int = 8) -> dict:
+def check_local_models(maxdeg: int = 8) -> dict:
     report = verify_extension_chain(maxdeg)
+    ok = (
+        report.ok
+        and all(report.checks.get(name) for name in _LOCAL_MODEL_CHECKS)
+        and report.split_direct_sum == (-1, 1)
+        and report.split_pushforward == (0, 0)
+    )
     return {
         "name": "local_model_suite",
-        "pass": report.ok,
+        "pass": ok,
         "detail": {
             "maxdeg": maxdeg,
             "min_generators": report.min_generators,
@@ -123,41 +140,43 @@ def _check_local_models(maxdeg: int = 8) -> dict:
     }
 
 
-def _check_spectral() -> dict:
+def check_spectral() -> dict:
     cover = CoverPoly(2, (-QPoly.x(), QPoly.zero()))
     disc = discriminant(cover)
-    branch_ok = disc(0) == 0 and disc(1) != 0 and fiber_profile(cover, 0) == (2,)
-    fam = sen_delta(QPoly.one(), QPoly.one(), QPoly.one(), {"d_L": 1})
-    degree_ok = fam.cover_degree == 12
-    fam3 = sen_delta(QPoly.one(), QPoly.one(), QPoly.one(), {"d_L": 3})
-    degree_ok = degree_ok and fam3.cover_degree == 4 * 3 + 8
+    profile = fiber_profile(cover, 0)
+    # u^2 - t branches exactly at t = 0
+    branch_ok = disc(0) == 0 and disc(1) != 0 and disc.degree == 1 and profile == (2,)
+    degree_ok = all(
+        sen_delta(QPoly.one(), QPoly.one(), QPoly.one(), {"d_L": k}).cover_degree == 4 * k + 8
+        for k in range(0, 6)
+    )
     return {
         "name": "spectral_branch_and_degrees",
         "pass": branch_ok and degree_ok,
-        "detail": {"disc": str(disc), "profile_at_0": [2]},
+        "detail": {"disc": str(disc), "profile_at_0": list(profile)},
     }
 
 
-def _check_properties(cases: int = 500, seed: int = 97) -> dict:
-    rng = random.Random(seed)
+def check_properties() -> dict:
+    cases = 500
+    rng = random.Random(4242)
     ok = True
 
     # reflection preserves the pairing
     m = p2_blowup(6)
-    datum = enumerate_roots(m, ("K",))
-    roots = datum.roots
+    roots = enumerate_roots(m, ("K",)).roots
     for _ in range(cases):
         alpha = roots[rng.randrange(len(roots))]
-        a = m.cls([rng.randint(-4, 4) for _ in range(m.rank)])
-        b = m.cls([rng.randint(-4, 4) for _ in range(m.rank)])
+        a = m.cls([rng.randint(-6, 6) for _ in range(m.rank)])
+        b = m.cls([rng.randint(-6, 6) for _ in range(m.rank)])
         if m.pair(reflect(alpha, a), reflect(alpha, b)) != m.pair(a, b):
             ok = False
 
     # Serre symmetry of the Euler characteristic
     for _ in range(cases):
-        n = rng.randint(0, 6)
+        n = rng.randint(0, 7)
         mm = hirzebruch_blowup(n) if rng.random() < 0.5 else p2_blowup(n)
-        d = mm.cls([rng.randint(-5, 5) for _ in range(mm.rank)])
+        d = mm.cls([rng.randint(-6, 6) for _ in range(mm.rank)])
         if euler_char(mm, d) != euler_char(mm, mm.K - d):
             ok = False
 
@@ -168,23 +187,21 @@ def _check_properties(cases: int = 500, seed: int = 97) -> dict:
             ("s", 2, {(2, 0, 0, 0): 1, (0, 2, 0, 0): -1, (0, 0, 2, 0): 1}),
             ("x", 3, {(0, 3, 0, 0): 1, (0, 1, 2, 0): 2}),
         ],
-        max_degree=10,
+        max_degree=12,
     )
     for _ in range(cases):
         mono = tuple(rng.randint(0, 3) for _ in range(4))
-        terms = {mono: Fraction(rng.randint(-3, 3) or 1)}
-        ref = ring.reduce_terms(terms)
-        alt = ring.reduce_terms(terms, rng=rng)
-        if ref != alt:
+        terms = {mono: Fraction(rng.randint(-4, 4) or 1)}
+        if ring.reduce_terms(terms) != ring.reduce_terms(terms, rng=rng):
             ok = False
 
     # graded dimensions are stable under raising the truncation bound
     for _ in range(cases):
-        deg_s = rng.randint(1, 2)
-        rel_pow = rng.randint(2, 3)
-        small = TruncRing([("a", 1), ("b", deg_s)], [("a", rel_pow, {})], max_degree=6)
-        large = TruncRing([("a", 1), ("b", deg_s)], [("a", rel_pow, {})], max_degree=12)
+        deg_b = rng.randint(1, 2)
+        power = rng.randint(2, 4)
         d = rng.randint(0, 6)
+        small = TruncRing([("a", 1), ("b", deg_b)], [("a", power, {})], max_degree=6)
+        large = TruncRing([("a", 1), ("b", deg_b)], [("a", power, {})], max_degree=12)
         if small.graded_dim(d) != large.graded_dim(d):
             ok = False
 
@@ -196,14 +213,14 @@ def run_suite(name: str = "paper-checks", trials: int = 1000, maxdeg: int = 8) -
     if name != "paper-checks":
         raise ValueError(f"unknown suite {name!r}")
     results = [
-        _check_line_counts(),
-        _check_root_data(),
-        _check_ext_dichotomy(),
-        _check_boundary_degrees(),
-        _check_transform_compat(trials),
-        _check_local_models(maxdeg),
-        _check_spectral(),
-        _check_properties(),
+        check_line_counts(),
+        check_root_data(),
+        check_ext_dichotomy(),
+        check_boundary_degrees(),
+        check_transform_compat(trials),
+        check_local_models(maxdeg),
+        check_spectral(),
+        check_properties(),
     ]
     return {
         "suite": name,

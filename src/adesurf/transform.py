@@ -41,13 +41,7 @@ TWIST_RAW = "raw"
 TWIST_MINUS_L0 = "minus_l0"
 TWIST_FULL = "full"
 
-_TWIST_ALIASES = {
-    "raw": TWIST_RAW,
-    "raw_d": TWIST_RAW,
-    "minus_l0": TWIST_MINUS_L0,
-    "full": TWIST_FULL,
-    "full_p": TWIST_FULL,
-}
+_TWIST_MODES = (TWIST_RAW, TWIST_MINUS_L0, TWIST_FULL)
 
 
 @dataclass(frozen=True)
@@ -117,10 +111,8 @@ def transform(
     collisions: CollisionConfig | None = None,
 ) -> TransformResult:
     """Turn a spectral fiber datum into a formal bundle on the surface fiber."""
-    try:
-        mode = _TWIST_ALIASES[twist_mode.lower()]
-    except KeyError:
-        raise AdesurfError(f"unknown twist mode {twist_mode!r}") from None
+    if twist_mode not in _TWIST_MODES:
+        raise AdesurfError(f"unknown twist mode {twist_mode!r}")
     if model.kind != KIND_HIRZEBRUCH:
         raise AdesurfError("the transform acts on A-type (Hirzebruch) surface fibers")
     if model.n != datum.n:
@@ -136,7 +128,7 @@ def transform(
                 "pass required_collisions(datum)"
             )
 
-    shift = model.zero() if mode == TWIST_RAW else -model.base_class
+    shift = model.zero() if twist_mode == TWIST_RAW else -model.base_class
     summands: list[tuple[LatticeClass, int]] = []
     blocks_out = []
     idx = 1
@@ -166,7 +158,7 @@ def transform(
         )
     boundary = EBundleClass(order=datum.order, entries=tuple(entries))
 
-    base_twist = datum.base_twist_degree + (1 if mode == TWIST_FULL else 0)
+    base_twist = datum.base_twist_degree + (1 if twist_mode == TWIST_FULL else 0)
     return TransformResult(
         bundle=bundle,
         collision_blocks=tuple(blocks_out),

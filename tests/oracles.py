@@ -9,6 +9,10 @@ odd), so the scan is exhaustive within the box.
 ``dense_coefficient_bounds`` computes the enumeration box with dense
 Fraction algebra over the whole lattice: a nullspace definiteness test and
 one linear solve per coordinate.
+
+``pairwise_simple_roots`` reads simple roots straight off their definition:
+positive roots that are no sum of two positive roots, found by testing
+every pair.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from math import isqrt
 
 from adesurf._linalg import frac_matrix, nullspace, rank, rref, signature_symmetric, solve
 from adesurf.errors import AdesurfError, EnumerationBoundError
+from adesurf.linesroots import _positivity_functional
 
 
 def brute_force_diag(s, bounds, rows, targets):
@@ -187,3 +192,23 @@ def dense_coefficient_bounds(model, self_intersection, constraints):
         hi = abs(x_u[i]) + radius
         bounds.append(int(hi))
     return bounds
+
+
+def pairwise_simple_roots(model, roots):
+    """Simple roots by descending height, each positive root tested against every other."""
+    if not roots:
+        return []
+    phi = _positivity_functional(model, roots)
+
+    def height(c):
+        return sum(p * v for p, v in zip(phi, c.coeffs))
+
+    positive = [rt for rt in roots if height(rt) > 0]
+    pos_set = {rt.coeffs for rt in positive}
+    simple = [
+        rt
+        for rt in positive
+        if not any((rt - other).coeffs in pos_set for other in positive if other.coeffs != rt.coeffs)
+    ]
+    simple.sort(key=height, reverse=True)
+    return simple

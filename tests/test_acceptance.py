@@ -1,40 +1,21 @@
 """Acceptance criteria, one test per criterion, all exact-valued.
 
-Each test prints a single PASS/FAIL line (run pytest -s to see them all
-even on success).  Stated runtime budgets are asserted where given.
+Each criterion is defined once, as a check in ``adesurf.suite`` (the same
+functions ``adesurf suite`` runs); these tests add the stated runtime
+budgets, the CLI call and the brute-force oracle of criterion 1.  Each
+test prints a single PASS/FAIL line (run pytest -s to see them all even
+on success).
 """
 
-import random
+import json
 import time
-from fractions import Fraction
 
-from adesurf.bundles import FUNDAMENTAL_A, VECTOR_D, boundary_degree, build_tautological, twist
+from adesurf import suite
 from adesurf.cli import run as cli_run
-from adesurf.divisors import CollisionConfig, euler_char, ext_profile
-from adesurf.lattice import hirzebruch_blowup, p2_blowup
-from adesurf.linesroots import (
-    coefficient_bounds,
-    enumerate_lines,
-    enumerate_roots,
-    reflect,
-    weyl_orbit,
-)
-from adesurf.localmodel import (
-    GradedModule,
-    TruncRing,
-    check_free,
-    check_generate,
-    conifold_ring,
-    min_generators_at_origin,
-    verify_extension_chain,
-)
-from adesurf.qpoly import QPoly
-from adesurf.spectral import CoverPoly, discriminant, fiber_profile, sen_delta
-from adesurf.transform import SpectralFiberDatum, check_restriction_compatibility
+from adesurf.lattice import p2_blowup
+from adesurf.linesroots import coefficient_bounds, enumerate_lines
 
 from .oracles import brute_force_diag, diag_rows_for_class
-
-EXPECTED_LINE_COUNTS = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 
 
 def report(number: int, name: str, ok: bool) -> None:
@@ -42,24 +23,24 @@ def report(number: int, name: str, ok: bool) -> None:
     assert ok, f"acceptance criterion {number} ({name}) failed"
 
 
+def timed(check, *args) -> tuple[dict, float]:
+    t0 = time.time()
+    result = check(*args)
+    return result, time.time() - t0
+
+
 def test_criterion_1_line_counts(capsys):
     t0 = time.time()
-    ok = True
-
     code = cli_run(["lines", "--kind", "p2", "--n", "6"])
-    out = capsys.readouterr().out
-    import json
+    ok = code == 0 and json.loads(capsys.readouterr().out)["count"] == 27
 
-    ok &= code == 0 and json.loads(out)["count"] == 27
-
+    ok &= suite.check_line_counts()["pass"]
     for n in range(1, 9):
         m = p2_blowup(n)
-        lines = enumerate_lines(m)
-        ok &= len(lines) == EXPECTED_LINE_COUNTS[n]
         bounds = coefficient_bounds(m, -1, [(m.K, -1)])
         wide = [2 * b + 1 for b in bounds]
         oracle = brute_force_diag(-1, wide, [diag_rows_for_class(m, m.K)], [-1])
-        ok &= [c.coeffs for c in lines] == oracle
+        ok &= [c.coeffs for c in enumerate_lines(m)] == oracle
 
     elapsed = time.time() - t0
     ok &= elapsed < 10.0
@@ -68,190 +49,52 @@ def test_criterion_1_line_counts(capsys):
 
 
 def test_criterion_2_root_data(capsys):
-    t0 = time.time()
-    ok = True
-    for n in range(2, 11):
-        m = hirzebruch_blowup(n)
-        datum = enumerate_roots(m, ("K", "f", "b"))
-        ok &= datum.type_label == f"A{n - 1}"
-        want = [(m.exceptional(i) - m.exceptional(i + 1)).coeffs for i in range(1, n)]
-        ok &= [a.coeffs for a in datum.simple_roots] == want
-
-    e6 = enumerate_roots(p2_blowup(6), ("K",))
-    ok &= len(e6.roots) == 72 and e6.type_label == "E6"
-
-    for n in range(1, 9):
-        m = hirzebruch_blowup(n)
-        datum = enumerate_roots(m, ("K", "f", "b"))
-        orbit = weyl_orbit(datum, m.exceptional(1) - m.base_class)
-        ok &= len(orbit) == n
-
-    elapsed = time.time() - t0
-    ok &= elapsed < 10.0
+    result, elapsed = timed(suite.check_root_data)
     with capsys.disabled():
-        report(2, f"root systems and orbits, {elapsed:.1f}s", ok)
+        report(2, f"root systems and orbits, {elapsed:.1f}s", result["pass"] and elapsed < 10.0)
 
 
 def test_criterion_3_ext_index(capsys):
-    m = hirzebruch_blowup(2)
-    l1, l2 = m.exceptional(1), m.exceptional(2)
-    collided = ext_profile(m, CollisionConfig(((1, 2),)), l1, l2).as_tuple()
-    generic = ext_profile(m, None, l1, l2).as_tuple()
-    chi = euler_char(m, l2 - l1)
-    ok = collided == (1, 1, 0, 0) and generic == (0, 0, 0, 0) and chi == 0
+    result = suite.check_ext_dichotomy()
     with capsys.disabled():
-        report(3, "ext profile dichotomy and index", ok)
+        report(3, "ext profile dichotomy and index", result["pass"])
 
 
 def test_criterion_4_boundary_degrees(capsys):
-    ok = True
-    for n in range(1, 17):
-        m = hirzebruch_blowup(n)
-        for rep in (FUNDAMENTAL_A, VECTOR_D):
-            bundle = build_tautological(m, rep)
-            ok &= all(boundary_degree(m, c) == 1 for c, _ in bundle.summands)
-            flat = twist(bundle, -m.base_class)
-            ok &= all(boundary_degree(m, c) == 0 for c, _ in flat.summands)
+    result = suite.check_boundary_degrees()
     with capsys.disabled():
-        report(4, "boundary degrees 0 after twist, 1 before", ok)
+        report(4, "boundary degrees 0 after twist, 1 before", result["pass"])
 
 
 def test_criterion_5_transform_compatibility(capsys):
-    t0 = time.time()
-    rng = random.Random(20151023)
-    trials, collided, good = 1000, 0, 0
-    for k in range(trials):
-        order = rng.choice([12, 30, 144, 720])
-        if k % 8 == 0:
-            n = rng.randint(2, 7)
-            p = rng.randrange(order)
-            reps = rng.randint(2, min(3, n))
-            points = [p] * reps + [rng.randrange(order) for _ in range(n - reps)]
-            collided += 1
-        else:
-            n = rng.randint(0, 7)
-            points = [rng.randrange(order) for _ in range(n)]
-        datum = SpectralFiberDatum(order=order, points=tuple(points))
-        good += check_restriction_compatibility(hirzebruch_blowup(n), datum)
-    elapsed = time.time() - t0
-    ok = good == trials and collided >= 100 and elapsed < 30.0
+    result, elapsed = timed(suite.check_transform_compat)
+    detail = result["detail"]
     with capsys.disabled():
         report(
             5,
-            f"transform matches fiberwise transform on {trials} data "
-            f"({collided} collided), {elapsed:.1f}s",
-            ok,
+            f"transform matches fiberwise transform on {detail['trials']} data "
+            f"({detail['forced_collisions']} collided), {elapsed:.1f}s",
+            result["pass"] and elapsed < 30.0,
         )
 
 
 def test_criterion_6_local_model_suite(capsys):
-    t0 = time.time()
-    maxdeg = 8
-    ring = conifold_ring(maxdeg)
-    x, y, z, s = (ring.var(v) for v in "xyzs")
-
-    whole = GradedModule.over_full_ring(ring, (ring.const(1),))
-    a = check_generate(ring, whole, (ring.const(1), s), ("x", "y", "z"), maxdeg).ok
-
-    ideal = GradedModule.over_full_ring(ring, (x - y, z + s))
-    b = (
-        check_generate(ring, ideal, (x - y, z + s), ("x", "y", "z"), maxdeg).ok
-        and check_free(ring, (x - y, z + s), ("x", "y", "z"), maxdeg).ok
-    )
-
-    c = (
-        min_generators_at_origin(ring, (x - y, z - s), maxdeg) == 2
-        and min_generators_at_origin(ring, (x - y,), maxdeg) == 1
-    )
-
-    chain = verify_extension_chain(maxdeg)
-    d = chain.ok and all(
-        chain.dims["fiber_module"][k] == chain.dims["image"][k] + chain.dims["kernel"][k]
-        for k in range(maxdeg + 1)
-    )
-    e = chain.split_direct_sum == (-1, 1) and chain.split_pushforward == (0, 0)
-
-    elapsed = time.time() - t0
-    ok = a and b and c and d and e and elapsed < 60.0
+    result, elapsed = timed(suite.check_local_models, 8)
     with capsys.disabled():
-        report(6, f"local-model suite at maxdeg {maxdeg}, {elapsed:.1f}s", ok)
+        report(6, f"local-model suite at maxdeg 8, {elapsed:.1f}s", result["pass"] and elapsed < 60.0)
 
 
 def test_criterion_7_spectral(capsys):
-    cover = CoverPoly(2, (-QPoly.x(), QPoly.zero()))
-    disc = discriminant(cover)
-    branch_ok = (
-        disc(0) == 0
-        and disc.degree == 1  # vanishes exactly at t = 0
-        and fiber_profile(cover, 0) == (2,)
-    )
-    degrees_ok = all(
-        sen_delta(QPoly.one(), QPoly.one(), QPoly.one(), {"d_L": k}).cover_degree == 4 * k + 8
-        for k in range(0, 6)
-    )
-    ok = branch_ok and degrees_ok
+    result = suite.check_spectral()
     with capsys.disabled():
-        report(7, "spectral discriminant and cover-degree bookkeeping", ok)
+        report(7, "spectral discriminant and cover-degree bookkeeping", result["pass"])
 
 
 def test_criterion_8_property_suites(capsys):
-    t0 = time.time()
-    cases = 500
-    rng = random.Random(4242)
-
-    # reflections preserve the pairing
-    m6 = p2_blowup(6)
-    roots = enumerate_roots(m6, ("K",)).roots
-    refl_fail = 0
-    for _ in range(cases):
-        alpha = roots[rng.randrange(len(roots))]
-        a = m6.cls([rng.randint(-6, 6) for _ in range(m6.rank)])
-        b = m6.cls([rng.randint(-6, 6) for _ in range(m6.rank)])
-        if m6.pair(reflect(alpha, a), reflect(alpha, b)) != m6.pair(a, b):
-            refl_fail += 1
-
-    # Serre symmetry chi(D) = chi(K - D)
-    serre_fail = 0
-    for _ in range(cases):
-        n = rng.randint(0, 7)
-        mm = hirzebruch_blowup(n) if rng.random() < 0.5 else p2_blowup(n)
-        d = mm.cls([rng.randint(-6, 6) for _ in range(mm.rank)])
-        if euler_char(mm, d) != euler_char(mm, mm.K - d):
-            serre_fail += 1
-
-    # normal-form confluence
-    ring = TruncRing(
-        [("x", 1), ("y", 1), ("z", 1), ("s", 1)],
-        [
-            ("s", 2, {(2, 0, 0, 0): 1, (0, 2, 0, 0): -1, (0, 0, 2, 0): 1}),
-            ("x", 3, {(0, 3, 0, 0): 1, (0, 1, 2, 0): 2}),
-        ],
-        max_degree=12,
-    )
-    confl_fail = 0
-    for _ in range(cases):
-        mono = tuple(rng.randint(0, 3) for _ in range(4))
-        terms = {mono: Fraction(rng.randint(-4, 4) or 1)}
-        if ring.reduce_terms(terms) != ring.reduce_terms(terms, rng=rng):
-            confl_fail += 1
-
-    # graded-dimension stabilization
-    stab_fail = 0
-    for _ in range(cases):
-        degree = rng.randint(1, 2)
-        power = rng.randint(2, 4)
-        d = rng.randint(0, 6)
-        small = TruncRing([("a", 1), ("b", degree)], [("a", power, {})], max_degree=max(6, d))
-        large = TruncRing([("a", 1), ("b", degree)], [("a", power, {})], max_degree=max(6, d) + 6)
-        if small.graded_dim(d) != large.graded_dim(d):
-            stab_fail += 1
-
-    elapsed = time.time() - t0
-    ok = refl_fail == serre_fail == confl_fail == stab_fail == 0
+    result, elapsed = timed(suite.check_properties)
     with capsys.disabled():
         report(
             8,
-            f"property suites ({cases} cases each, "
-            f"failures {refl_fail}/{serre_fail}/{confl_fail}/{stab_fail}), {elapsed:.1f}s",
-            ok,
+            f"property suites ({result['detail']['cases_each']} cases each), {elapsed:.1f}s",
+            result["pass"],
         )

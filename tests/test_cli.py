@@ -81,11 +81,16 @@ def test_suite_fast_path(capsys):
     doc = json.loads(out)
     assert code == 0
     assert doc["all_pass"] is True
-    assert {r["name"] for r in doc["results"]} >= {
+    assert [r["name"] for r in doc["results"]] == [
         "line_counts_p2_1_to_8",
+        "root_data_and_orbits",
+        "ext_index_dichotomy",
+        "boundary_degrees",
         "transform_restriction_compatibility",
         "local_model_suite",
-    }
+        "spectral_branch_and_degrees",
+        "property_suites",
+    ]
 
 
 def test_suite_unknown_name_is_schema_error(capsys):
@@ -156,6 +161,17 @@ def test_spectral_analyze(tmp_path, capsys):
     assert code == 0
     assert doc["branch_points"] == ["0/1"]
     assert doc["ramification_profile"] == [{"partition": [2], "t": "0/1"}]
+
+
+def test_spectral_analyze_large_constant(tmp_path, capsys):
+    # u^2 + t^2 + 1000000007^2: its rational roots come from factoring, not a divisor search
+    cover = tmp_path / "cover.json"
+    cover.write_text('{"n": 2, "coeffs": [[1000000007000000049, 0, 1], []]}')
+    code, out = run_cli(capsys, ["spectral", "analyze", "--cover", str(cover)])
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["branch_points"] == []
+    assert {"coeffs": ["1000000007000000049/1", "0/1", "1/1"]} in doc["nonrational_factors"]
 
 
 def test_spectral_sen(capsys):
@@ -320,6 +336,9 @@ def test_usage_error_exit_two():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["spectral", "analyze", "--cover", "cover.json", "--strict"])
     assert exc.value.code == 2
 
 

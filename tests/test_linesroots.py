@@ -15,15 +15,15 @@ from adesurf.linesroots import (
     weight_of,
     weyl_orbit,
 )
+from adesurf.suite import LINE_COUNTS
 
 from .oracles import (
     brute_force_diag,
     dense_coefficient_bounds,
     diag_rows_for_class,
     literal_box_scan,
+    pairwise_simple_roots,
 )
-
-LINE_COUNTS = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 
 
 def test_twenty_seven_lines():
@@ -160,6 +160,19 @@ def test_root_sets_closed_under_negation_and_reflection():
             assert (-r).coeffs in coeffs
             for alpha in datum.simple_roots:
                 assert reflect(alpha, r).coeffs in coeffs
+
+
+@pytest.mark.parametrize(
+    "kind, n", [("p2", n) for n in range(9)] + [("hirzebruch", n) for n in range(11)]
+)
+def test_simple_roots_match_pairwise_oracle(kind, n):
+    if kind == "p2":
+        model, orth = p2_blowup(n), ("K",)
+    else:
+        model, orth = hirzebruch_blowup(n), ("K", "f", "b")
+    datum = enumerate_roots(model, orth)
+    want = pairwise_simple_roots(model, list(datum.roots))
+    assert [a.coeffs for a in datum.simple_roots] == [a.coeffs for a in want]
 
 
 def test_cartan_matrix_a3():

@@ -9,6 +9,7 @@ from adesurf.localmodel import (
     RingElement,
     TruncRing,
     base_ring,
+    branch_pushforward_certificate,
     central_fiber_ring,
     check_free,
     check_generate,
@@ -219,6 +220,14 @@ def test_verify_extension_chain():
             == report.dims["image"][d] + report.dims["kernel"][d]
         )
         assert report.dims["image"][d] == report.dims["ideal"][d]
+
+
+def test_branch_pushforward_certificate():
+    assert branch_pushforward_certificate(3) == {
+        "free_rank_two": True,
+        "pushforward_split": (0, 0),
+        "direct_sum_split": (-1, 1),
+    }
 
 
 def test_graded_dim_against_exhaustive_reduction():

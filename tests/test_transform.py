@@ -6,6 +6,7 @@ from adesurf.bundles import restrict_to_boundary
 from adesurf.errors import AdesurfError, CollisionConfigError
 from adesurf.lattice import hirzebruch_blowup, p2_blowup
 from adesurf.transform import (
+    LocalPushforwardClass,
     SpectralFiberDatum,
     check_restriction_compatibility,
     fm_classlevel,
@@ -66,8 +67,9 @@ def test_transform_model_checks():
         transform(p2_blowup(2), datum, "minus_l0")
     with pytest.raises(AdesurfError):
         transform(hirzebruch_blowup(3), datum, "minus_l0")
-    with pytest.raises(AdesurfError):
-        transform(hirzebruch_blowup(2), datum, "sideways")
+    for mode in ("sideways", "full_p", "FULL"):
+        with pytest.raises(AdesurfError):
+            transform(hirzebruch_blowup(2), datum, mode)
 
 
 def test_full_twist_records_base_degree():
@@ -157,11 +159,10 @@ def test_restricted_transform_equals_fm_via_bundles_path():
 
 
 def test_local_isomorphism_class():
-    assert local_isomorphism_class(1).rank == 1
+    assert local_isomorphism_class(1) == LocalPushforwardClass(rank=1, free=True, certified=True)
     desc = local_isomorphism_class(2)
-    assert desc.rank == 2 and desc.free and desc.certified
-    assert desc.exceptional_split == (0, 0)
+    assert desc == LocalPushforwardClass(rank=2, free=True, certified=True, exceptional_split=(0, 0))
     assert desc.describe() == "free of rank 2"
-    assert not local_isomorphism_class(3).certified
+    assert local_isomorphism_class(3) == LocalPushforwardClass(rank=3, free=True, certified=False)
     with pytest.raises(AdesurfError):
         local_isomorphism_class(0)
