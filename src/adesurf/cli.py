@@ -6,14 +6,12 @@ canonical JSON document on stdout (sorted keys, compact separators,
 rationals as "p/q" strings); byte-identical runs for identical inputs.
 
 Exit codes: 0 success, 1 domain error (structured error JSON on stdout),
-2 usage error.  The only environment variable honored is
-ADESURF_VERBOSITY (stderr chatter).
+2 usage error.  No environment variable is read.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 
@@ -26,7 +24,7 @@ from .bundles import (
     restrict_to_boundary,
     twist,
 )
-from .divisors import CollisionConfig, euler_char, ext_profile, is_effective
+from .divisors import EFFECTIVE, NOT_EFFECTIVE, CollisionConfig, euler_char, ext_profile
 from .errors import AdesurfError, SchemaError
 from .lattice import LatticeClass, SurfaceModel, build_surface, p2_presentation
 from .linesroots import enumerate_lines, enumerate_roots, weight_of, weyl_orbit
@@ -40,14 +38,6 @@ from .transform import (
     required_collisions,
     transform,
 )
-
-VERBOSITY = int(os.environ.get("ADESURF_VERBOSITY", "0") or "0")
-
-
-def _note(msg: str) -> None:
-    if VERBOSITY > 0:
-        print(msg, file=sys.stderr)
-
 
 def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
@@ -258,7 +248,6 @@ def cmd_surface(args) -> dict:
         "K": class_doc(model.K),
         "E": class_doc(model.E),
         "K_dot_K": model.pair(model.K, model.K),
-        "effective_generators": [class_doc(g) for g in model.effective_generators],
     }
     if model.fiber_class is not None:
         doc["fiber_class"] = class_doc(model.fiber_class)
@@ -363,14 +352,13 @@ def cmd_ext(args) -> dict:
     l2 = parse_class(model, args.l2, "--l2")
     collisions = CollisionConfig(tuple((a, b) for a, b in (args.collide or [])))
     profile = ext_profile(model, collisions, l1, l2)
-    eff = is_effective(model, collisions, l2 - l1)
     doc = {
         "basis": model.basis_id,
         "ext0": profile.ext0,
         "ext1": profile.ext1,
         "ext2": profile.ext2,
         "index": profile.index,
-        "difference_effective": eff.status,
+        "difference_effective": EFFECTIVE if profile.ext0 == 1 else NOT_EFFECTIVE,
     }
     if profile.certificate is not None:
         doc["certificate"] = [
@@ -456,7 +444,6 @@ def cmd_transform(args) -> dict:
     needed = required_collisions(datum)
     if needed.pairs and not collisions.pairs:
         collisions = needed
-        _note("collisions inferred from repeated spectral points")
     result = transform(model, datum, args.twist, collisions=collisions)
     return {
         "bundle": bundle_doc(result.bundle),
@@ -505,6 +492,10 @@ def cmd_localmodel(args) -> dict:
 def cmd_suite(args) -> dict:
     if args.name != "paper-checks":
         raise SchemaError("--name", f"unknown suite {args.name!r}")
+    if args.trials < 1:
+        raise SchemaError("--trials", f"expected at least 1 trial, got {args.trials}")
+    if args.maxdeg < 0:
+        raise SchemaError("--maxdeg", f"expected a degree >= 0, got {args.maxdeg}")
     return run_suite(args.name, trials=args.trials, maxdeg=args.maxdeg)
 
 

@@ -1,30 +1,33 @@
 """Euler characteristics, effectivity certificates, and ext profiles.
 
-The Euler characteristic on a rational surface is
-chi(O(D)) = 1 + (D*D - D*K)/2; the parity of D*D - D*K is asserted, since
-an odd value can only come from a corrupted Gram matrix.
+chi(O(D)) = 1 + (D*D - D*K)/2 on a rational surface; an odd D*D - D*K can
+only come from a corrupted Gram matrix and is reported as such.
 
-Effectivity here means: D is a non-negative integer combination of the
-model's configured effective generators plus any -2 curves induced by
-collided blowup points.  The search is a bounded backtracking over
-generator multiplicities.  Termination comes from pairing against a fixed
-class A with A*g >= 1 for every generator g: each unit of multiplicity
-consumes at least one unit of the budget A*D.  Running out of the node
-budget yields an explicitly indeterminate result, never a silent False.
+Effectivity is decided by peeling negative curves: the -2 curves l_j - l_i
+of collided points and the lines pairing >= 0 with all of them.  If
+D*E < 0, E is a fixed component of |D|, so D is effective exactly when
+D - E is.  Peeling ends at D = 0 (effective), at -K*D < 0 or, in degree 8,
+D*f < 0 (not effective: -K and the conic class f are nef), or at a nef
+D != 0 (effective: h^0 >= chi >= 1 by Riemann-Roch).  This needs -K nef
+and big; models with K*K < 1 raise EnumerationBoundError.  A certificate
+lists the peeled curves, then removes each generator in turn as often as
+that leaves an effective class, peeling again after each.  The generators
+are the negative curves, h on the plane, f in degree 8 and -K in degree 1;
+they generate the effective monoid (Batyrev-Popov).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations
 
-from .errors import AdesurfError, IndeterminateEffectivityError, ParityViolationError
-from .lattice import KIND_HIRZEBRUCH, LatticeClass, SurfaceModel
+from .errors import AdesurfError, BasisMismatchError, EnumerationBoundError, ParityViolationError
+from .lattice import LatticeClass, SurfaceModel
+from .linesroots import enumerate_classes, enumerate_lines
 
 EFFECTIVE = "effective"
 NOT_EFFECTIVE = "not_effective"
-INDETERMINATE = "indeterminate"
-
-DEFAULT_NODE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -34,12 +37,27 @@ class CollisionConfig:
     pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "pairs", tuple((int(i), int(j)) for i, j in self.pairs)
-        )
-        for i, j in self.pairs:
+        pairs = tuple((int(i), int(j)) for i, j in self.pairs)
+        object.__setattr__(self, "pairs", pairs)
+        for i, j in pairs:
             if i == j:
                 raise AdesurfError(f"collision pair ({i}, {j}) must involve two distinct points")
+        # distinct irreducible -2 curves meet in 0 or 1, and l_j - l_i meets
+        # l_b - l_a in [j = a] + [i = b] - [j = b] - [i = a]
+        for (i, j), (a, b) in combinations(pairs, 2):
+            if (meet := (j == a) + (i == b) - (j == b) - (i == a)) not in (0, 1):
+                raise AdesurfError(
+                    f"collision pairs {(i, j)} and {(a, b)} induce curves meeting in {meet}, "
+                    "not 0 or 1"
+                )
+        # so each point has one successor at most; a cycle of curves sums to 0
+        successor = dict(pairs)
+        for start in successor:
+            i = successor[start]
+            while i in successor and i != start:
+                i = successor[i]
+            if i == start:
+                raise AdesurfError(f"collision pairs {list(pairs)} form a cycle")
 
     def induced_curves(self, model: SurfaceModel) -> tuple[LatticeClass, ...]:
         curves = []
@@ -58,10 +76,6 @@ class EffectivityResult:
     nodes_used: int = 0
 
     def __bool__(self) -> bool:
-        if self.status == INDETERMINATE:
-            raise IndeterminateEffectivityError(
-                "effectivity search exceeded its node budget; result is indeterminate"
-            )
         return self.status == EFFECTIVE
 
 
@@ -76,94 +90,110 @@ def euler_char(model: SurfaceModel, d: LatticeClass) -> int:
     return 1 + (dd - dk) // 2
 
 
-def _budget_class(model: SurfaceModel) -> LatticeClass:
-    """A fixed class pairing >= 1 with every admissible generator.
+def _dual(model: SurfaceModel, c: LatticeClass) -> tuple[int, ...]:
+    return tuple(sum(g * x for g, x in zip(row, c.coeffs)) for row in model.gram)
 
-    Exceptional classes get strictly increasing weights so that induced
-    curves l_j - l_i (i < j) also pair positively.
-    """
-    idx = model.exceptional_indices()
-    coeffs = [0] * model.rank
-    if model.kind == KIND_HIRZEBRUCH:
-        coeffs[0] = 1  # b: pairs 1 with f
-        for pos, i in enumerate(idx):
-            coeffs[2 + pos] = -(i + 1)
-    else:
-        coeffs[0] = 2 * model.n + 3  # h-weight dominates any line class h - l_i - l_j
-        for pos, i in enumerate(idx):
-            coeffs[1 + pos] = -(i + 1)
-    return model.cls(coeffs)
+
+def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _minus(a: tuple[int, ...], b: tuple[int, ...], k: int) -> tuple[int, ...]:
+    return tuple(x - k * y for x, y in zip(a, b))
+
+
+@cache
+def _curves(model: SurfaceModel, collisions: CollisionConfig) -> tuple:
+    """(negative, nef, generators) as coefficient tuples, once per configuration:
+    (E, Gram*E, -E*E) per negative curve, the nef test classes' Gram rows, and
+    the certificate generators."""
+    degree = model.pair(model.K, model.K)
+    if degree < 1:
+        raise EnumerationBoundError(
+            f"effectivity needs -K nef and big (K*K >= 1); {model.basis_id} has K*K = {degree}"
+        )
+    induced = list(collisions.induced_curves(model))
+    negative = induced + [
+        e for e in enumerate_lines(model) if all(model.pair(e, c) >= 0 for c in induced)
+    ]
+    extra = []
+    if degree == 9:
+        extra = [model.basis_class("h")]
+    elif degree == 8:
+        extra = enumerate_classes(model, 0, [(model.K, -2)])
+    elif degree == 1:
+        extra = [model.E]
+    return (
+        tuple((e.coeffs, _dual(model, e), -model.pair(e, e)) for e in negative),
+        tuple(_dual(model, c) for c in [model.E] + (extra if degree == 8 else [])),
+        tuple(c.coeffs for c in negative + extra),
+    )
+
+
+class _Peeler:
+    """The peeling loop over one configuration's curves, counting its steps."""
+
+    def __init__(self, negative, nef, generators):
+        self.negative, self.nef, self.generators = negative, nef, generators
+        self.steps = 0
+
+    def peel(self, d: tuple[int, ...], terms: dict | None = None) -> tuple[bool, tuple[int, ...]]:
+        """(effective, nef rest) of d.  A pass removes each negative curve E as
+        often as D*E < 0 demands, counting it into terms when given; E meets
+        the other curves non-negatively, so no pairing turns positive."""
+        while any(d):
+            if any(_dot(d, w) < 0 for w in self.nef):
+                return False, d
+            start = d
+            for e, w, s in self.negative:
+                de = _dot(d, w)
+                if de < 0:
+                    mult = -(de // s)
+                    d = _minus(d, e, mult)
+                    if terms is not None:
+                        terms[e] = terms.get(e, 0) + mult
+                    self.steps += 1
+            if d == start:
+                break
+        return True, d
+
+    def largest_multiple(self, d: tuple[int, ...], g: tuple[int, ...]) -> int:
+        """The largest k >= 0 with d - k*g effective, by galloping search."""
+        k, step = 0, 1
+        while step:
+            if self.peel(_minus(d, g, k + step))[0]:
+                k, step = k + step, 2 * step
+            else:
+                step //= 2
+        return k
 
 
 def is_effective(
     model: SurfaceModel,
     collisions: CollisionConfig | None,
     d: LatticeClass,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> EffectivityResult:
-    """Decide membership in the cone spanned by the configured generators."""
-    collisions = collisions or CollisionConfig()
-    gens = list(model.effective_generators) + list(collisions.induced_curves(model))
-    ample = _budget_class(model)
-    weights = [model.pair(ample, g) for g in gens]
-    if any(w < 1 for w in weights):
-        raise AdesurfError("internal: budget class does not dominate a generator")
-
-    budget = model.pair(ample, d)
-    if d.is_zero():
-        return EffectivityResult(EFFECTIVE, certificate=(), nodes_used=1)
-    if budget < 0:
-        return EffectivityResult(NOT_EFFECTIVE, nodes_used=1)
-
-    nodes = 0
-    memo: dict[tuple[int, tuple[int, ...]], bool] = {}
-    choice: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def search(k: int, remaining: LatticeClass, budget_left: int) -> bool:
-        nonlocal nodes
-        if remaining.is_zero():
-            return True
-        if k == len(gens) or budget_left <= 0:
-            return False
-        key = (k, remaining.coeffs)
-        if key in memo:
-            return memo[key]
-        nodes += 1
-        if nodes > node_budget:
-            raise _BudgetExhausted
-        w = weights[k]
-        found = False
-        for mult in range(budget_left // w, -1, -1):
-            if search(k + 1, remaining - mult * gens[k], budget_left - mult * w):
-                choice[key] = mult
-                found = True
-                break
-        memo[key] = found
-        return found
-
-    try:
-        ok = search(0, d, budget)
-    except _BudgetExhausted:
-        return EffectivityResult(INDETERMINATE, nodes_used=nodes)
+    """Decide effectivity of d by negative-curve peeling, with a certificate."""
+    if d.basis_id != model.basis_id:
+        raise BasisMismatchError(f"class from {d.basis_id!r} given for {model.basis_id!r}")
+    peeler = _Peeler(*_curves(model, collisions or CollisionConfig()))
+    terms: dict[tuple[int, ...], int] = {}
+    ok, rest = peeler.peel(d.coeffs, terms)
     if not ok:
-        return EffectivityResult(NOT_EFFECTIVE, nodes_used=nodes)
-    cert = []
-    remaining = d
-    for k, g in enumerate(gens):
-        if remaining.is_zero():
+        return EffectivityResult(NOT_EFFECTIVE, nodes_used=peeler.steps)
+    # the rest only shrinks by effective classes, so a generator that no
+    # longer fits never fits again: one pass over the generators suffices
+    for g in peeler.generators:
+        if not any(rest):
             break
-        mult = choice[(k, remaining.coeffs)]
-        if mult:
-            cert.append((g, mult))
-            remaining = remaining - mult * g
-    if not remaining.is_zero():
-        raise AdesurfError("internal: certificate reconstruction failed")
-    return EffectivityResult(EFFECTIVE, certificate=tuple(cert), nodes_used=nodes)
-
-
-class _BudgetExhausted(Exception):
-    pass
+        k = peeler.largest_multiple(rest, g)
+        if k:
+            terms[g] = terms.get(g, 0) + k
+            _, rest = peeler.peel(_minus(rest, g, k), terms)
+    if any(rest):
+        raise AdesurfError(f"internal: nef class {rest} is no sum of the generators")
+    cert = tuple((LatticeClass(c, model.basis_id), m) for c, m in terms.items())
+    return EffectivityResult(EFFECTIVE, certificate=cert, nodes_used=peeler.steps)
 
 
 @dataclass(frozen=True)
@@ -183,24 +213,17 @@ def ext_profile(
     collisions: CollisionConfig | None,
     l1: LatticeClass,
     l2: LatticeClass,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ExtProfile:
     """Ext groups between O(l1) and O(l2) in the degeneration regime.
 
     Ext^2 vanishes on a rational surface; the index is deformation
     invariant and equals chi(O(l2 - l1)); h^0 of the difference is 0 or 1
-    and is decided by the effectivity certificate.  Raises
-    IndeterminateEffectivityError when the search gave up.
+    and is decided by the effectivity certificate.
     """
     diff = l2 - l1
     index = euler_char(model, diff)
-    eff = is_effective(model, collisions, diff, node_budget=node_budget)
-    if eff.status == INDETERMINATE:
-        raise IndeterminateEffectivityError(
-            "ext profile indeterminate: effectivity search exceeded its budget"
-        )
-    ext0 = 1 if eff.status == EFFECTIVE else 0
+    eff = is_effective(model, collisions, diff)
+    ext0 = 1 if eff else 0
     ext2 = 0
     ext1 = ext0 + ext2 - index
     if ext1 < 0:

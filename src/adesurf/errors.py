@@ -25,10 +25,6 @@ class ParityViolationError(AdesurfError):
     """D*D - D*K came out odd; the Gram matrix of the model is corrupt."""
 
 
-class IndeterminateEffectivityError(AdesurfError):
-    """The effectivity search ran out of budget; the answer is neither yes nor no."""
-
-
 class RepresentationMismatchError(AdesurfError):
     """A tautological bundle was requested on a surface of the wrong kind."""
 

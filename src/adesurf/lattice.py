@@ -24,7 +24,7 @@ in this module ever rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linalg import signature_symmetric
@@ -93,7 +93,6 @@ class SurfaceModel:
     E: LatticeClass
     fiber_class: LatticeClass | None
     base_class: LatticeClass | None
-    effective_generators: tuple[LatticeClass, ...] = field(default=())
 
     @property
     def rank(self) -> int:
@@ -120,9 +119,6 @@ class SurfaceModel:
     def exceptional(self, i: int) -> LatticeClass:
         """The class l_i (indexing follows the labels of the model)."""
         return self.basis_class(f"l{i}")
-
-    def exceptional_indices(self) -> list[int]:
-        return [int(lb[1:]) for lb in self.labels if lb.startswith("l")]
 
     def pair(self, a: LatticeClass, b: LatticeClass) -> int:
         if a.basis_id != self.basis_id or b.basis_id != self.basis_id:
@@ -204,9 +200,6 @@ def hirzebruch_blowup(n: int) -> SurfaceModel:
         fiber_class=LatticeClass((0, 1) + (0,) * n, basis_id),
         base_class=LatticeClass((1, 0) + (0,) * n, basis_id),
     )
-    gens = [model.exceptional(i) for i in range(1, n + 1)]
-    gens.append(model.fiber_class)
-    object.__setattr__(model, "effective_generators", tuple(gens))
     return _register(model)
 
 
@@ -235,13 +228,6 @@ def p2_blowup(n: int, _label_offset: int = 1, _id: str | None = None) -> Surface
         fiber_class=None,
         base_class=None,
     )
-    h = model.basis_class("h")
-    excs = [model.basis_class(lb) for lb in labels[1:]]
-    gens = list(excs)
-    for i in range(len(excs)):
-        for j in range(i + 1, len(excs)):
-            gens.append(h - excs[i] - excs[j])
-    object.__setattr__(model, "effective_generators", tuple(gens))
     return _register(model)
 
 

@@ -13,6 +13,10 @@ one linear solve per coordinate.
 ``pairwise_simple_roots`` reads simple roots straight off their definition:
 positive roots that are no sum of two positive roots, found by testing
 every pair.
+
+``backtrack_effective`` decides whether a class is a non-negative integer
+sum of an explicit generator list by a memoised backtracking search over
+generator multiplicities, with a node cap.
 """
 
 from __future__ import annotations
@@ -212,3 +216,62 @@ def pairwise_simple_roots(model, roots):
     ]
     simple.sort(key=height, reverse=True)
     return simple
+
+
+def backtrack_effective(model, generators, d, tilt, node_budget=20_000):
+    """("effective", certificate), ("not_effective", None), or (None, None) past the cap.
+
+    The certificate lists (generator, multiplicity) pairs summing to d.
+
+    Generators are weighed by A = M*(-K) + tilt, with M the least integer
+    making A*g >= 1 for every g; `tilt` must pair >= 1 with every generator
+    orthogonal to K.  Each unit of multiplicity then uses up at least one
+    unit of A*d, so the search is finite and exhaustive.
+    """
+    kd = [model.pair(model.E, g) for g in generators]
+    td = [model.pair(tilt, g) for g in generators]
+    if any(k < 0 or (k == 0 and t < 1) for k, t in zip(kd, td)):
+        raise AdesurfError("oracle: tilt does not weigh every generator positively")
+    big = max([1] + [-((t - 1) // k) for k, t in zip(kd, td) if k > 0])
+    ample = big * model.E + tilt
+    weights = [model.pair(ample, g) for g in generators]
+    budget = model.pair(ample, d)
+    if d.is_zero():
+        return "effective", []
+    if budget < 0:
+        return "not_effective", None
+
+    nodes = 0
+    memo = {}
+
+    def search(k, remaining, budget_left):
+        nonlocal nodes
+        if remaining.is_zero():
+            return []
+        if k == len(generators) or budget_left <= 0:
+            return None
+        key = (k, remaining.coeffs)
+        if key in memo:
+            return memo[key]
+        nodes += 1
+        if nodes > node_budget:
+            raise _NodeCap
+        w = weights[k]
+        found = None
+        for mult in range(budget_left // w, -1, -1):
+            rest = search(k + 1, remaining - mult * generators[k], budget_left - mult * w)
+            if rest is not None:
+                found = ([(generators[k], mult)] if mult else []) + rest
+                break
+        memo[key] = found
+        return found
+
+    try:
+        cert = search(0, d, budget)
+    except _NodeCap:
+        return None, None
+    return ("not_effective", None) if cert is None else ("effective", cert)
+
+
+class _NodeCap(Exception):
+    pass

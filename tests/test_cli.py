@@ -18,6 +18,7 @@ def test_surface_info(capsys):
     assert doc["rank"] == 7
     assert doc["K_dot_K"] == 3
     assert doc["K"]["coeffs"] == [-3, 1, 1, 1, 1, 1, 1]
+    assert "effective_generators" not in doc
 
 
 def test_surface_collisions(capsys):
@@ -128,6 +129,53 @@ def test_chi_and_ext(capsys):
     doc = json.loads(out)
     assert (doc["ext0"], doc["ext1"]) == (0, 0)
     assert doc["difference_effective"] == "not_effective"
+    assert "certificate" not in doc
+
+
+def test_ext_section_outside_old_generators(capsys):
+    # O(b) has a section, though b is no sum of l_i and f
+    code, out = run_cli(
+        capsys,
+        ["ext", "--kind", "hirzebruch", "--n", "2", "--l1", "[0,0,1,0]", "--l2", "[1,0,1,0]"],
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "basis": "hirzebruch_blowup(2)",
+        "ext0": 1,
+        "ext1": 0,
+        "ext2": 0,
+        "index": 1,
+        "difference_effective": "effective",
+        "certificate": [{"class": [1, 0, 0, 0], "mult": 1}],
+    }
+
+
+def test_crossed_collisions_are_errors(tmp_path, capsys):
+    surface = tmp_path / "s.json"
+    surface.write_text('{"kind": "hirzebruch_blowup", "n": 2, "collisions": [[1, 2], [2, 1]]}')
+    datum = tmp_path / "d.json"
+    datum.write_text('{"N": 12, "points": [5, 5]}')
+    for argv in (
+        ["ext", "--kind", "p2", "--n", "4", "--l1", "[0,1,0,0,0]", "--l2", "[0,0,1,0,0]",
+         "--collide", "1", "2", "--collide", "2", "1"],
+        ["surface", "--kind", "p2", "--n", "3", "--collisions", "1,2;2,1"],
+        ["transform", "run", "--surface", str(surface), "--spectral", str(datum)],
+    ):
+        code, out = run_cli(capsys, argv)
+        assert code == 1
+        assert "meeting in 2" in json.loads(out)["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--trials", "0"), ("--trials", "-5"), ("--maxdeg", "-1")]
+)
+def test_suite_rejects_bad_counts(capsys, flag, value):
+    argv = ["suite", "--trials", "16", "--maxdeg", "2"]
+    argv[argv.index(flag) + 1] = value
+    code, out = run_cli(capsys, argv)
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert (err["type"], err["path"]) == ("schema", flag)
 
 
 def test_bundle_and_restrict(capsys):

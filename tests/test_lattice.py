@@ -140,15 +140,3 @@ def test_arbitrary_precision_coefficients():
     from adesurf.divisors import euler_char
 
     assert euler_char(m, a) == euler_char(m, m.K - a)  # no overflow anywhere
-
-
-def test_effective_generators_shape():
-    m = hirzebruch_blowup(3)
-    gens = {g.coeffs for g in m.effective_generators}
-    assert m.fiber_class.coeffs in gens
-    assert m.exceptional(2).coeffs in gens
-    p = p2_blowup(3)
-    h = p.basis_class("h")
-    assert (h - p.exceptional(1) - p.exceptional(2)).coeffs in {
-        g.coeffs for g in p.effective_generators
-    }
