@@ -1,23 +1,145 @@
-"""Small exact linear-algebra helpers over Fraction.
+"""Exact linear algebra: one sparse, fraction-free incremental echelon.
 
-Everything here works on lists of lists of Fractions and is sized for
-desk-scale lattices and graded pieces (dimensions in the tens to low
-hundreds), so plain Gaussian elimination is the right tool.
+Rank and kernel questions go through ``Echelon``, which keeps integer rows
+as ``{column: value}`` dicts and eliminates in the manner of Bareiss's
+integer-preserving elimination (Bareiss, Math. Comp. 22, 1968): each step
+replaces a row by ``b * row - a * pivot`` with ``a, b`` coprime and then
+divides out the row's content, so no rational number is built while
+reducing.  The graded pieces of ``localmodel`` produce rows that are a
+monomial times a generator, a handful of nonzeros out of tens or hundreds
+of columns, so the sparse form does work proportional to those nonzeros.
+On this path only ``nullspace`` builds Fractions, once, when it divides
+the reduced rows by their pivots.
+
+``rref`` is the dense Fraction elimination kept for
+``linesroots.coefficient_bounds``, which inverts at most a 3x3 Gram
+matrix and reads the reduced form directly; ``signature_symmetric``
+counts the inertia of a symmetric matrix by congruence.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Matrix = list[list[Fraction]]
+SparseRow = dict[int, int]
 
 
-def frac_matrix(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+def integer_row(row) -> SparseRow:
+    """A dense or ``{column: value}`` row of ints/Fractions as a sparse int row.
+
+    The denominators are cleared once, by their lcm; scaling a row by a
+    positive constant changes neither its span nor its kernel.
+    """
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    items = [(c, v) for c, v in items if v]
+    den = lcm(*(v.denominator for _, v in items))
+    return {c: v.numerator * (den // v.denominator) for c, v in items}
+
+
+def _cancel(r: SparseRow, p: SparseRow, c: int) -> SparseRow:
+    """``b * r - a * p`` with ``a / b = r[c] / p[c]`` in lowest terms, made primitive.
+
+    Column c drops out.  `p[c]` must be positive; `r` belongs to the caller
+    and may be changed in place.
+    """
+    a, b = r[c], p[c]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if b != 1:
+        r = {k: b * v for k, v in r.items()}
+    for k, v in p.items():
+        nv = r.get(k, 0) - a * v
+        if nv:
+            r[k] = nv
+        else:
+            del r[k]
+    g = gcd(*r.values())
+    return {k: v // g for k, v in r.items()} if g > 1 else r
+
+
+class Echelon:
+    """Incremental row echelon of integer rows, one stored row per pivot.
+
+    Each stored row is primitive (its entries have gcd 1), has a positive
+    leading entry, and its leading column is its pivot; no two stored rows
+    share a pivot, so they are linearly independent.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: dict[int, SparseRow] = {}  # pivot column -> row
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def add(self, row) -> bool:
+        """Reduce `row` against the pivots; store it and return True if it is independent."""
+        r = integer_row(row)
+        rows = self.rows
+        while r:
+            c = min(r)
+            p = rows.get(c)
+            if p is None:
+                if r[c] < 0:
+                    r = {k: -v for k, v in r.items()}
+                rows[c] = r
+                return True
+            r = _cancel(r, p, c)
+        return False
+
+    def extend(self, rows) -> int:
+        """Add each row in turn; the number that were independent."""
+        return sum(self.add(row) for row in rows)
+
+    def reduced(self) -> list[tuple[int, dict[int, Fraction]]]:
+        """The reduced row-echelon form as (pivot column, row) pairs by pivot.
+
+        Back-substitution stays in integers; the rows are divided by their
+        pivot entries, the one place Fractions are built, at the end.
+        """
+        order = sorted(self.rows)
+        rows = {c: dict(self.rows[c]) for c in order}
+        for i in range(len(order) - 1, -1, -1):
+            pc = order[i]
+            for qc in order[:i]:
+                if rows[qc].get(pc):
+                    rows[qc] = _cancel(rows[qc], rows[pc], pc)
+        return [(c, {k: Fraction(v, rows[c][c]) for k, v in rows[c].items()}) for c in order]
+
+
+def rank(mat) -> int:
+    """Rank of a matrix given as dense or sparse rows of ints/Fractions."""
+    return Echelon().extend(mat)
+
+
+def nullspace(mat, ncols: int) -> list[list[Fraction]]:
+    """Basis of the right kernel of `mat`, a matrix with `ncols` columns.
+
+    There is one basis vector per free column, in column order, with a 1
+    there and minus the reduced rows' entries at the pivots.  The reduced
+    form is unique, so the basis is too.
+    """
+    ech = Echelon()
+    ech.extend(mat)
+    red = ech.reduced()
+    zero = Fraction(0)
+    basis = []
+    for fc in range(ncols):
+        if fc in ech.rows:
+            continue
+        v = [zero] * ncols
+        v[fc] = Fraction(1)
+        for pc, row in red:
+            v[pc] = -row.get(fc, zero)
+        basis.append(v)
+    return basis
 
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row-echelon form; returns (R, pivot column indices)."""
+    """Dense reduced row-echelon form; returns (R, pivot column indices)."""
     m = [row[:] for row in mat]
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -43,47 +165,6 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
         if r == rows:
             break
     return m, pivots
-
-
-def rank(mat: Matrix) -> int:
-    if not mat:
-        return 0
-    return len(rref(mat)[1])
-
-
-def solve(a: Matrix, b: list[Fraction]) -> list[Fraction] | None:
-    """One solution of A x = b, or None when inconsistent.
-
-    Free variables are set to zero, so the result is deterministic.
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [list(a[i]) + [Fraction(b[i])] for i in range(rows)]
-    red, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        x[c] = red[i][cols]
-    return x
-
-
-def nullspace(mat: Matrix) -> list[list[Fraction]]:
-    """Basis of the right kernel of `mat` (deterministic order)."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    if rows == 0:
-        return [[Fraction(int(i == j)) for j in range(cols)] for i in range(cols)]
-    red, pivots = rref(mat)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][fc]
-        basis.append(v)
-    return basis
 
 
 def signature_symmetric(gram: Matrix) -> tuple[int, int, int]:
@@ -140,4 +221,3 @@ def signature_symmetric(gram: Matrix) -> tuple[int, int, int]:
                     m[r][i] -= f * m[r][k]
         used[k] = True
     return pos, neg, zero
-

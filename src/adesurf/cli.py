@@ -459,10 +459,16 @@ def cmd_transform(args) -> dict:
     }
 
 
+def _check_degree(flag: str, value: int) -> None:
+    if value < 0:
+        raise SchemaError(flag, f"expected a degree >= 0, got {value}")
+
+
 def cmd_localmodel(args) -> dict:
     if args.localmodel_action == "verify":
         if args.suite != "conifold":
             raise SchemaError("--suite", f"unknown suite {args.suite!r}")
+        _check_degree("--maxdeg", args.maxdeg)
         report = verify_extension_chain(args.maxdeg)
         if report.truncation_warning:
             _warn("a verified claim only settles near the truncation bound; raise --maxdeg")
@@ -479,6 +485,7 @@ def cmd_localmodel(args) -> dict:
             "split_pushforward": list(report.split_pushforward or ()),
         }
     if args.localmodel_action == "dims":
+        _check_degree("--upto", args.upto)
         ring = load_ring_doc(args.ring)
         upto = min(args.upto, ring.max_degree)
         return {
@@ -494,8 +501,7 @@ def cmd_suite(args) -> dict:
         raise SchemaError("--name", f"unknown suite {args.name!r}")
     if args.trials < 1:
         raise SchemaError("--trials", f"expected at least 1 trial, got {args.trials}")
-    if args.maxdeg < 0:
-        raise SchemaError("--maxdeg", f"expected a degree >= 0, got {args.maxdeg}")
+    _check_degree("--maxdeg", args.maxdeg)
     return run_suite(args.name, trials=args.trials, maxdeg=args.maxdeg)
 
 

@@ -7,7 +7,9 @@ between relation variables.  Monomials then have a unique normal form with
 bounded exponents in the relation variables, and every graded piece is a
 finite-dimensional Q-vector space with the normal-form monomials as basis.
 Membership, generation, freeness and minimal-generator questions are all
-answered degree by degree with Fraction Gaussian elimination.
+answered degree by degree: each element becomes a sparse integer row over
+the normal-form monomials, and ``_linalg.Echelon`` reduces those rows
+fraction-free, extending one echelon where a question compares two spans.
 
 The second half of the file is the branch-locus verification suite: the
 local rings of a spectral cover's double point (s^2 = t), of the family
@@ -33,7 +35,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._linalg import nullspace, rank
+from ._linalg import Echelon, integer_row, nullspace, rank
 from .errors import AdesurfError, RingConstructionError
 
 Monomial = tuple[int, ...]
@@ -376,23 +378,44 @@ class GradedModule:
         return out
 
 
-def _vectors(ring: TruncRing, elements: list[RingElement], d: int) -> list[list[Fraction]]:
+def _columns(index: dict[Monomial, int], el: RingElement):
+    """(basis column, coefficient) of each term of an element, by the degree's basis index."""
+    for mon, coeff in el.terms.items():
+        col = index.get(mon)
+        if col is None:
+            raise AdesurfError("element not homogeneous of the requested degree")
+        yield col, coeff
+
+
+def _vectors(ring: TruncRing, elements: list[RingElement], d: int) -> list[dict[int, int]]:
+    """Sparse integer coordinate rows over ``ring.basis(d)``, one per element.
+
+    A row with fractional coefficients is scaled by the lcm of their
+    denominators.  That keeps every span, so these rows answer rank and
+    echelon questions; relations among the elements come from
+    ``_relation_rows``, which does not scale.
+    """
+    index = {m: i for i, m in enumerate(ring.basis(d))}
+    return [integer_row(dict(_columns(index, el))) for el in elements]
+
+
+def _relation_rows(ring: TruncRing, elements: list[RingElement], d: int) -> list[dict[int, Fraction]]:
+    """Transposed coordinates: one sparse row per basis monomial, one column per element.
+
+    The right kernel of these rows is the space of linear relations among
+    the elements.
+    """
     basis = ring.basis(d)
     index = {m: i for i, m in enumerate(basis)}
-    rows = []
-    for el in elements:
-        row = [Fraction(0)] * len(basis)
-        for mon, coeff in el.terms.items():
-            if ring.monomial_degree(mon) != d:
-                raise AdesurfError("element not homogeneous of the requested degree")
-            row[index[mon]] = coeff
-        rows.append(row)
+    rows: list[dict[int, Fraction]] = [{} for _ in basis]
+    for j, el in enumerate(elements):
+        for col, coeff in _columns(index, el):
+            rows[col][j] = coeff
     return rows
 
 
 def module_dim(module: GradedModule, d: int) -> int:
-    vecs = _vectors(module.ring, module.spanning_elements(d), d)
-    return rank(vecs) if vecs else 0
+    return rank(_vectors(module.ring, module.spanning_elements(d), d))
 
 
 def graded_dim(ring: TruncRing, d: int) -> int:
@@ -418,10 +441,11 @@ def check_generate(
     for d in range(maxdeg + 1):
         tvecs = _vectors(ring, target.spanning_elements(d), d)
         cvecs = _vectors(ring, candidate.spanning_elements(d), d)
-        tdim = rank(tvecs) if tvecs else 0
-        cdim = rank(cvecs) if cvecs else 0
-        both = rank(tvecs + cvecs) if tvecs or cvecs else 0
-        if not (tdim == cdim == both):
+        span = Echelon()
+        tdim = span.extend(tvecs)
+        cdim = rank(cvecs)
+        # the candidates span the target iff none of them enlarges its echelon
+        if tdim != cdim or span.extend(cvecs):
             return DegreeCheck(False, d)
     return DegreeCheck(True, None)
 
@@ -433,12 +457,9 @@ def check_free(ring: TruncRing, gens, over_vars, maxdeg: int) -> DegreeCheck:
     for g in gens:
         if g.is_zero():
             return DegreeCheck(False, 0)
+    module = GradedModule(ring, gens, over)
     for d in range(maxdeg + 1):
-        module = GradedModule(ring, gens, over)
-        elements = module.spanning_elements(d)
-        if not elements:
-            continue
-        vecs = _vectors(ring, elements, d)
+        vecs = _vectors(ring, module.spanning_elements(d), d)
         if rank(vecs) != len(vecs):
             return DegreeCheck(False, d)
     return DegreeCheck(True, None)
@@ -449,11 +470,11 @@ def min_generator_profile(ring: TruncRing, ideal_gens, maxdeg: int) -> list[int]
     module = GradedModule.over_full_ring(ring, tuple(ideal_gens))
     profile = []
     for d in range(maxdeg + 1):
-        full = _vectors(ring, module.spanning_elements(d), d)
-        inside = _vectors(ring, module.spanning_elements(d, skip_units=True), d)
-        fdim = rank(full) if full else 0
-        idim = rank(inside) if inside else 0
-        profile.append(fdim - idim)
+        # (mI)_d first; the generators of degree d then add dim (I / mI)_d
+        span = Echelon()
+        span.extend(_vectors(ring, module.spanning_elements(d, skip_units=True), d))
+        units = [g for g in module.generators if g.degree == d]
+        profile.append(span.extend(_vectors(ring, units, d)))
     return profile
 
 
@@ -703,30 +724,24 @@ def _kernel_syzygy_checks(maxdeg: int, report: ExtensionChainReport) -> None:
 
     for d in range(maxdeg + 1):
         span = module.spanning_elements(d)
-        span_vecs = _vectors(fiber, span, d)
-        f2_dim = rank(span_vecs) if span_vecs else 0
+        f2_dim = rank(_vectors(fiber, span, d))
 
         imaged = [el.map_to(cone, to_cone) for el in span]
-        img_vecs = [v for v in _vectors(cone, imaged, d)]
-        img_dim = rank(img_vecs) if img_vecs else 0
+        img_vecs = _vectors(cone, imaged, d)
+        img_dim = rank(img_vecs)
 
-        ideal_vecs = _vectors(cone, ideal.spanning_elements(d), d)
-        ideal_dim = rank(ideal_vecs) if ideal_vecs else 0
+        ideal_span = Echelon()
+        ideal_dim = ideal_span.extend(_vectors(cone, ideal.spanning_elements(d), d))
 
-        onto = (
-            img_dim == ideal_dim
-            and (rank(img_vecs + ideal_vecs) if (img_vecs or ideal_vecs) else 0) == ideal_dim
-        )
+        # onto iff the image has the ideal's dimension and lies inside it
+        onto = img_dim == ideal_dim and not ideal_span.extend(img_vecs)
         report.record("fiber_restriction_onto_ideal", onto, d)
 
         ker_dim = f2_dim - img_dim
         report.record("dimension_additivity", f2_dim == img_dim + ker_dim, d)
 
         # explicit kernel: nullspace combinations of the spanning set
-        if span:
-            null = nullspace(_transpose(_vectors(cone, imaged, d)))
-        else:
-            null = []
+        null = nullspace(_relation_rows(cone, imaged, d), len(imaged))
         # remove combinations that are zero already in F_2 (span redundancy)
         kernel_elements = []
         for combo in null:
@@ -736,8 +751,8 @@ def _kernel_syzygy_checks(maxdeg: int, report: ExtensionChainReport) -> None:
                     el = el + c * sp
             if not el.is_zero():
                 kernel_elements.append(el)
-        kvecs = _vectors(fiber, kernel_elements, d) if kernel_elements else []
-        report.record("kernel_dimension", (rank(kvecs) if kvecs else 0) == ker_dim, d)
+        kvecs = _vectors(fiber, kernel_elements, d)
+        report.record("kernel_dimension", rank(kvecs) == ker_dim, d)
 
         # every kernel element is s * (polynomial in x, y, z)
         s_index = fiber.var_names.index("s")
@@ -755,8 +770,7 @@ def _kernel_syzygy_checks(maxdeg: int, report: ExtensionChainReport) -> None:
                 cols.append(cz * RingElement(cone, {m: Fraction(1)}, reduced=True))
             for m in mons:
                 cols.append((cx - cy) * RingElement(cone, {m: Fraction(1)}, reduced=True))
-            mat = _vectors(cone, cols, d)
-            syz = nullspace(_transpose(mat)) if mat else []
+            syz = nullspace(_relation_rows(cone, cols, d), len(cols))
             syz_pairs = []
             for combo in syz:
                 h = cone.zero()
@@ -791,12 +805,6 @@ def _kernel_syzygy_checks(maxdeg: int, report: ExtensionChainReport) -> None:
     report.dims["image"] = dims_img
     report.dims["kernel"] = dims_ker
     report.dims["ideal"] = dims_ideal
-
-
-def _transpose(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    if not rows:
-        return []
-    return [list(col) for col in zip(*rows)]
 
 
 def _split_type_checks(maxdeg: int, report: ExtensionChainReport) -> None:

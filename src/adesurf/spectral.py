@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import frac_matrix, rank
+from ._linalg import rank
 from .errors import AdesurfError, DegreeDataError, NonReducedCoverError
 from .lattice import KIND_HIRZEBRUCH, LatticeClass, SurfaceModel
 from .qpoly import (
@@ -211,7 +211,6 @@ def fiber_picard(model: SurfaceModel, n: int | None = None) -> FiberPicardDecomp
         for other in (e, b, f):
             if model.pair(alpha, other) != 0:
                 raise AdesurfError("root block fails orthogonality: Gram matrix corrupt")
-    span = [list(map(Fraction, c.coeffs)) for c in simple + (e, b, f)]
-    if rank(frac_matrix(span)) != model.rank:
+    if rank([c.coeffs for c in simple + (e, b, f)]) != model.rank:
         raise AdesurfError("decomposition does not span the lattice")
     return FiberPicardDecomposition(root_block=simple, boundary=e, section=b, fiber=f)

@@ -1,4 +1,4 @@
-"""Independent oracles for the enumeration tests.
+"""Independent oracles for the enumeration and linear-algebra tests.
 
 ``brute_force_diag`` is a plain recursive search over a coefficient box in
 diagonal coordinates (+1, -1, ..., -1), sharing no code with the package
@@ -9,6 +9,12 @@ odd), so the scan is exhaustive within the box.
 ``dense_coefficient_bounds`` computes the enumeration box with dense
 Fraction algebra over the whole lattice: a nullspace definiteness test and
 one linear solve per coordinate.
+
+``dense_rank``, ``dense_nullspace`` and ``solve`` are plain Gaussian
+elimination over dense Fraction rows through ``rref``; the package's
+sparse integer echelon is tested against them.  ``dense_rows`` turns the
+package's sparse rows into dense ones, and ``DenseEchelon`` answers
+``Echelon.extend`` by recounting the dense rank of every row it was given.
 
 ``pairwise_simple_roots`` reads simple roots straight off their definition:
 positive roots that are no sum of two positive roots, found by testing
@@ -25,9 +31,82 @@ import itertools
 from fractions import Fraction
 from math import isqrt
 
-from adesurf._linalg import frac_matrix, nullspace, rank, rref, signature_symmetric, solve
+from adesurf._linalg import rref, signature_symmetric
 from adesurf.errors import AdesurfError, EnumerationBoundError
 from adesurf.linesroots import _positivity_functional
+
+
+def frac_matrix(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def dense_rank(mat) -> int:
+    if not mat:
+        return 0
+    return len(rref(mat)[1])
+
+
+def solve(a, b):
+    """One solution of A x = b, or None when inconsistent.
+
+    Free variables are set to zero, so the result is deterministic.
+    """
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    aug = [list(a[i]) + [Fraction(b[i])] for i in range(rows)]
+    red, pivots = rref(aug)
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for i, c in enumerate(pivots):
+        x[c] = red[i][cols]
+    return x
+
+
+def dense_nullspace(mat):
+    """Basis of the right kernel of `mat`, one vector per free column."""
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    if rows == 0:
+        return [[Fraction(int(i == j)) for j in range(cols)] for i in range(cols)]
+    red, pivots = rref(mat)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -red[i][fc]
+        basis.append(v)
+    return basis
+
+
+def dense_rows(rows, ncols=None):
+    """Dense Fraction rows of dense or ``{column: value}`` rows.
+
+    Sparse rows are padded to `ncols` columns, by default to just past the
+    largest column any of them uses.
+    """
+    rows = list(rows)
+    if ncols is None:
+        ncols = max((max(r, default=-1) + 1 if isinstance(r, dict) else len(r) for r in rows), default=0)
+    return [
+        [Fraction(r.get(c, 0)) for c in range(ncols)] if isinstance(r, dict) else [Fraction(x) for x in r]
+        for r in rows
+    ]
+
+
+class DenseEchelon:
+    """Stand-in for ``adesurf._linalg.Echelon.extend`` built on ``dense_rank``."""
+
+    def __init__(self):
+        self.rows = []
+        self.rank = 0
+
+    def extend(self, rows):
+        self.rows.extend(rows)
+        before, self.rank = self.rank, dense_rank(dense_rows(self.rows))
+        return self.rank - before
 
 
 def brute_force_diag(s, bounds, rows, targets):
@@ -137,7 +216,7 @@ def dense_coefficient_bounds(model, self_intersection, constraints):
         keep_rows: list[int] = []
         seen = 0
         for j in range(len(u_vecs)):
-            if rank([u_vecs[i] for i in keep_rows + [j]]) > seen:
+            if dense_rank([u_vecs[i] for i in keep_rows + [j]]) > seen:
                 keep_rows.append(j)
                 seen += 1
         u_vecs = [u_vecs[j] for j in keep_rows]
@@ -153,9 +232,9 @@ def dense_coefficient_bounds(model, self_intersection, constraints):
 
     gram_u = [[pair_q(u_vecs[i], u_vecs[j]) for j in range(k)] for i in range(k)]
 
-    # with no constraints nullspace([]) is empty, so this check is skipped
+    # with no constraints dense_nullspace([]) is empty, so this check is skipped
     forms = [g_apply(u) for u in u_vecs]
-    kernel = nullspace(forms) if forms else nullspace([])
+    kernel = dense_nullspace(forms) if forms else dense_nullspace([])
     if kernel:
         restricted = [[pair_q(a, b) for b in kernel] for a in kernel]
         if not _is_negative_definite(restricted):

@@ -264,6 +264,22 @@ def test_transform_collision_inferred(tmp_path, capsys):
     assert doc["boundary"]["points"][0]["regular"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["localmodel", "verify", "--maxdeg", "-1"], "--maxdeg"),
+        (["localmodel", "dims", "--ring", "RING", "--upto", "-3"], "--upto"),
+    ],
+)
+def test_localmodel_rejects_negative_degrees(tmp_path, capsys, argv, flag):
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({"vars": [{"name": "x", "degree": 1}], "max_degree": 4}))
+    code, out = run_cli(capsys, [str(ring) if a == "RING" else a for a in argv])
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert (err["type"], err["path"]) == ("schema", flag)
+
+
 def test_localmodel_verify(capsys):
     code, out = run_cli(capsys, ["localmodel", "verify", "--suite", "conifold", "--maxdeg", "4"])
     doc = json.loads(out)
