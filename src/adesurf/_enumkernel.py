@@ -31,7 +31,7 @@ from math import isqrt
 
 from .errors import EnumerationBoundError
 
-_MAX_RANK = MAX_RANK = 66
+_MAX_RANK = 66
 _MAX_BOUND = 1 << 20
 _MAX_LAYER_ROWS = 30_000_000
 

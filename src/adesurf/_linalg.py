@@ -11,10 +11,10 @@ of columns, so the sparse form does work proportional to those nonzeros.
 On this path only ``nullspace`` builds Fractions, once, when it divides
 the reduced rows by their pivots.
 
-``rref`` is the dense Fraction elimination kept for
-``linesroots.coefficient_bounds``, which inverts at most a 3x3 Gram
-matrix and reads the reduced form directly; ``signature_symmetric``
-counts the inertia of a symmetric matrix by congruence.
+``linesroots.coefficient_bounds`` uses the same echelon to drop dependent
+constraints, to detect inconsistent targets and to invert a Gram matrix
+of at most 3x3.  ``signature_symmetric`` counts the inertia of a
+symmetric matrix by congruence, which no echelon of its rows gives.
 """
 
 from __future__ import annotations
@@ -136,35 +136,6 @@ def nullspace(mat, ncols: int) -> list[list[Fraction]]:
             v[pc] = -row.get(fc, zero)
         basis.append(v)
     return basis
-
-
-def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Dense reduced row-echelon form; returns (R, pivot column indices)."""
-    m = [row[:] for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
 
 
 def signature_symmetric(gram: Matrix) -> tuple[int, int, int]:

@@ -31,8 +31,6 @@ from .errors import (
 )
 from .lattice import KIND_HIRZEBRUCH, LatticeClass, SurfaceModel
 
-DEFAULT_GROUP_ORDER = 720
-
 FUNDAMENTAL_A = "fundamental_a"
 VECTOR_D = "vector_d"
 ADJOINT = "adjoint"

@@ -113,9 +113,22 @@ def parse_collisions(text: str | None) -> CollisionConfig:
     return CollisionConfig(tuple(pairs))
 
 
+def read_document(path: str):
+    """Parse the JSON file at `path`; text that is not UTF-8 is a schema error there.
+
+    Errors of the file system itself (missing, a directory, unreadable)
+    propagate as OSError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(path, f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return _json.parse_document(text, path)
+
+
 def load_surface_doc(path: str) -> tuple[SurfaceModel, CollisionConfig]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = _json.parse_document(fh.read(), path)
+    doc = read_document(path)
     kind = _json.require(doc, "kind")
     if not isinstance(kind, str):
         raise SchemaError("kind", "expected a string")
@@ -138,8 +151,7 @@ def load_spectral(path: str, strict: bool = False):
 
     Returns ("datum", SpectralFiberDatum) or ("cover", CoverPoly).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = _json.parse_document(fh.read(), path)
+    doc = read_document(path)
     if not isinstance(doc, dict):
         raise SchemaError("<root>", "expected an object")
     if "points" in doc:
@@ -194,25 +206,37 @@ def parse_qpoly_arg(text: str, path: str) -> QPoly:
 
 
 def load_ring_doc(path: str) -> TruncRing:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = _json.parse_document(fh.read(), path)
+    doc = read_document(path)
     raw_vars = _json.require(doc, "vars")
     if not isinstance(raw_vars, list) or not raw_vars:
         raise SchemaError("vars", "expected a non-empty array")
     variables = []
     for i, entry in enumerate(raw_vars):
         name = _json.require(entry, "name", f"vars[{i}]")
+        if not isinstance(name, str):
+            raise SchemaError(f"vars[{i}].name", "expected a string")
         degree = _json.parse_int(_json.require(entry, "degree", f"vars[{i}]"), f"vars[{i}].degree", 1)
         variables.append((name, degree))
+    names = [name for name, _ in variables]
+    raw_relations = doc.get("relations", [])
+    if not isinstance(raw_relations, list):
+        raise SchemaError("relations", "expected an array")
     relations = []
-    for i, entry in enumerate(doc.get("relations", [])):
+    for i, entry in enumerate(raw_relations):
         var = _json.require(entry, "var", f"relations[{i}]")
+        if var not in names:
+            raise SchemaError(f"relations[{i}].var", f"names no variable: {var!r}")
         power = _json.parse_int(
             _json.require(entry, "power", f"relations[{i}]"), f"relations[{i}].power", 1
         )
+        raw_rhs = entry.get("rhs", [])
+        if not isinstance(raw_rhs, list):
+            raise SchemaError(f"relations[{i}].rhs", "expected an array of terms")
         rhs = {}
-        for j, term in enumerate(entry.get("rhs", [])):
+        for j, term in enumerate(raw_rhs):
             exps = _json.require(term, "exps", f"relations[{i}].rhs[{j}]")
+            if not isinstance(exps, list):
+                raise SchemaError(f"relations[{i}].rhs[{j}].exps", "expected an array of integers")
             coeff = _json.parse_rational(
                 _json.require(term, "coeff", f"relations[{i}].rhs[{j}]"),
                 f"relations[{i}].rhs[{j}].coeff",
@@ -466,14 +490,12 @@ def _check_degree(flag: str, value: int) -> None:
 
 def cmd_localmodel(args) -> dict:
     if args.localmodel_action == "verify":
-        if args.suite != "conifold":
-            raise SchemaError("--suite", f"unknown suite {args.suite!r}")
         _check_degree("--maxdeg", args.maxdeg)
         report = verify_extension_chain(args.maxdeg)
         if report.truncation_warning:
             _warn("a verified claim only settles near the truncation bound; raise --maxdeg")
         return {
-            "suite": args.suite,
+            "suite": "conifold",
             "maxdeg": report.maxdeg,
             "ok": report.ok,
             "truncation_warning": report.truncation_warning,
@@ -502,7 +524,7 @@ def cmd_suite(args) -> dict:
     if args.trials < 1:
         raise SchemaError("--trials", f"expected at least 1 trial, got {args.trials}")
     _check_degree("--maxdeg", args.maxdeg)
-    return run_suite(args.name, trials=args.trials, maxdeg=args.maxdeg)
+    return run_suite(trials=args.trials, maxdeg=args.maxdeg)
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("localmodel", help="graded-ring verification of the branch-locus models")
     lsub = p.add_subparsers(dest="localmodel_action", required=True)
     lv = lsub.add_parser("verify")
-    lv.add_argument("--suite", default="conifold")
     lv.add_argument("--maxdeg", type=int, default=8)
     lv.set_defaults(func=cmd_localmodel)
     ld = lsub.add_parser("dims")
@@ -630,29 +651,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(error: dict) -> int:
+    sys.stdout.write(_json.dumps({"error": error}))
+    return 1
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         doc = args.func(args)
     except SchemaError as exc:
-        payload = _json.dumps({"error": {"type": "schema", "path": exc.path, "message": str(exc)}})
-        sys.stdout.write(payload)
-        return 1
+        return _fail({"type": "schema", "path": exc.path, "message": str(exc)})
     except AdesurfError as exc:
-        payload = _json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}})
-        sys.stdout.write(payload)
-        return 1
-    except FileNotFoundError as exc:
-        payload = _json.dumps({"error": {"type": "io", "message": str(exc)}})
-        sys.stdout.write(payload)
-        return 1
+        return _fail({"type": type(exc).__name__, "message": str(exc)})
+    except OSError as exc:
+        return _fail({"type": "io", "message": str(exc)})
     text = _json.dumps(doc)
-    if args.output:
+    if not args.output:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        return _fail({"type": "io", "message": str(exc)})
     return 0
 
 

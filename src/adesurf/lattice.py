@@ -38,7 +38,6 @@ KIND_P2 = "p2_blowup"
 _KIND_ALIASES = {
     "hirzebruch": KIND_HIRZEBRUCH,
     "hirzebruch_blowup": KIND_HIRZEBRUCH,
-    "f1": KIND_HIRZEBRUCH,
     "p2": KIND_P2,
     "p2_blowup": KIND_P2,
 }
@@ -232,9 +231,13 @@ def p2_blowup(n: int, _label_offset: int = 1, _id: str | None = None) -> Surface
 
 
 def build_surface(kind: str, n: int) -> SurfaceModel:
-    """Build a surface model; `kind` is 'hirzebruch_blowup' or 'p2_blowup'."""
+    """Build a surface model.
+
+    `kind` is 'hirzebruch_blowup' or 'p2_blowup', or the short form
+    'hirzebruch' or 'p2'; no other spelling is accepted.
+    """
     try:
-        canonical = _KIND_ALIASES[kind.lower()]
+        canonical = _KIND_ALIASES[kind]
     except KeyError:
         raise AdesurfError(f"unknown surface kind {kind!r}") from None
     if canonical == KIND_HIRZEBRUCH:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import _enumkernel
-from ._linalg import rref, signature_symmetric
+from ._linalg import Echelon, signature_symmetric
 from .errors import AdesurfError, EnumerationBoundError, OrbitCapExceededError
 from .lattice import (
     KIND_HIRZEBRUCH,
@@ -91,17 +91,19 @@ def coefficient_bounds(
             "enumerate Hirzebruch models through their plane presentation"
         )
     diag = [model.gram[i][i] for i in range(r)]
-    u_vecs = [[Fraction(c) for c in u.coeffs] for u, _ in constraints]
-    targets = [Fraction(t) for _, t in constraints]
 
-    # drop linearly dependent constraints, checking target consistency
-    if u_vecs:
-        _, pivots = rref([u + [t] for u, t in zip(u_vecs, targets)])
-        if r in pivots:
-            return None  # inconsistent targets: no solutions at all
-        _, keep_rows = rref([list(col) for col in zip(*u_vecs)])
-        u_vecs = [u_vecs[j] for j in keep_rows]
-        targets = [targets[j] for j in keep_rows]
+    # the targets are inconsistent exactly when the augmented rows put a
+    # pivot in the target column; the constraints kept are the ones that
+    # are independent of those before them
+    consistency, independent = Echelon(), Echelon()
+    u_vecs, targets = [], []
+    for u, t in constraints:
+        consistency.add(u.coeffs + (t,))
+        if independent.add(u.coeffs):
+            u_vecs.append(u.coeffs)
+            targets.append(t)
+    if r in consistency.rows:
+        return None  # inconsistent targets: no solutions at all
 
     k = len(u_vecs)
     gram_u = [[sum(d * a * b for d, a, b in zip(diag, ua, ub)) for ub in u_vecs] for ua in u_vecs]
@@ -114,8 +116,10 @@ def coefficient_bounds(
             raise EnumerationBoundError(
                 "enumeration bound exceeded: residual lattice is not negative definite"
             )
-    red, _ = rref([row + [Fraction(int(a == b)) for b in range(k)] for a, row in enumerate(gram_u)])
-    inv = [row[k:] for row in red]
+    # gram_U is nondegenerate, so [gram_U | I] reduces to [I | gram_U^-1]
+    inverse = Echelon()
+    inverse.extend(row + [int(a == b) for b in range(k)] for a, row in enumerate(gram_u))
+    inv = [[row.get(k + b, 0) for b in range(k)] for _, row in inverse.reduced()]
 
     coeffs = [sum(g * t for g, t in zip(row, targets)) for row in inv]
     x_u = [sum(c * u[i] for c, u in zip(coeffs, u_vecs)) for i in range(r)]

@@ -48,9 +48,6 @@ class Relation:
     power: int
     rhs: tuple[tuple[Monomial, Fraction], ...]
 
-    def rhs_terms(self) -> Terms:
-        return {m: c for m, c in self.rhs}
-
 
 class TruncRing:
     """Multivariate quotient ring with solvable relations and a degree cap."""
@@ -288,8 +285,9 @@ class RingElement:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other):

@@ -112,8 +112,9 @@ class QPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def shift(self, k: int) -> "QPoly":

@@ -139,27 +139,15 @@ class SenFamily:
 def sen_delta(b2: QPoly, b4: QPoly, b6: QPoly, degree_data) -> SenFamily:
     """Delta = b2*b6 - b4^2 for the conic family, with degree bookkeeping.
 
-    `degree_data` maps the names "d_K" and "d_L" to the fiber degrees of
-    the inverse canonical bundle of the P^1-fibration (2 for an honest
-    P^1 fiber) and of the inverse twisting bundle.  The b coefficients
-    then have fiber degrees (2 d_K, d_K + d_L, 2 d_L); explicit per-
-    coefficient degrees may be supplied instead and are checked against
-    that pattern.
+    `degree_data` maps "d_L" (required) and "d_K" (default 2) to the
+    fiber degrees of the inverse twisting bundle and of the inverse
+    canonical bundle of the P^1-fibration (2 for an honest P^1 fiber).
+    The b coefficients then have fiber degrees (2 d_K, d_K + d_L, 2 d_L).
     """
-    if "d_K" in degree_data or "d_L" in degree_data:
-        d_k = int(degree_data.get("d_K", 2))
-        d_l = int(degree_data["d_L"])
-    else:
-        try:
-            deg2, deg4, deg6 = (int(degree_data[k]) for k in ("b2", "b4", "b6"))
-        except KeyError as exc:
-            raise DegreeDataError(f"degree data missing field {exc}") from None
-        if deg2 % 2 or deg6 % 2 or 2 * deg4 != deg2 + deg6:
-            raise DegreeDataError(
-                f"fiber degrees ({deg2}, {deg4}, {deg6}) do not fit the pattern "
-                "(2 d_K, d_K + d_L, 2 d_L)"
-            )
-        d_k, d_l = deg2 // 2, deg6 // 2
+    if "d_L" not in degree_data:
+        raise DegreeDataError("degree data missing field 'd_L'")
+    d_k = int(degree_data.get("d_K", 2))
+    d_l = int(degree_data["d_L"])
     if d_k < 0 or d_l < 0:
         raise DegreeDataError("fiber degrees must be non-negative")
     delta = b2 * b6 - b4 * b4
@@ -191,7 +179,7 @@ class FiberPicardDecomposition:
         return len(self.root_block)
 
 
-def fiber_picard(model: SurfaceModel, n: int | None = None) -> FiberPicardDecomposition:
+def fiber_picard(model: SurfaceModel) -> FiberPicardDecomposition:
     """The non-mixing decomposition of a Hirzebruch fiber's lattice.
 
     Verifies against the Gram matrix that the root block is orthogonal to
@@ -200,11 +188,8 @@ def fiber_picard(model: SurfaceModel, n: int | None = None) -> FiberPicardDecomp
     """
     if model.kind != KIND_HIRZEBRUCH:
         raise AdesurfError("fiber decomposition is defined for Hirzebruch models")
-    if n is not None and n != model.n:
-        raise AdesurfError(f"model has n = {model.n}, caller claimed {n}")
-    n = model.n
     simple = tuple(
-        model.exceptional(i) - model.exceptional(i + 1) for i in range(1, n)
+        model.exceptional(i) - model.exceptional(i + 1) for i in range(1, model.n)
     )
     e, b, f = model.E, model.base_class, model.fiber_class
     for alpha in simple:

@@ -208,10 +208,8 @@ def check_properties() -> dict:
     return {"name": "property_suites", "pass": ok, "detail": {"cases_each": cases}}
 
 
-def run_suite(name: str = "paper-checks", trials: int = 1000, maxdeg: int = 8) -> dict:
+def run_suite(trials: int = 1000, maxdeg: int = 8) -> dict:
     """Run the aggregated checks; the payload is deterministic (no timings)."""
-    if name != "paper-checks":
-        raise ValueError(f"unknown suite {name!r}")
     results = [
         check_line_counts(),
         check_root_data(),
@@ -223,7 +221,7 @@ def run_suite(name: str = "paper-checks", trials: int = 1000, maxdeg: int = 8) -
         check_properties(),
     ]
     return {
-        "suite": name,
+        "suite": "paper-checks",
         "all_pass": all(r["pass"] for r in results),
         "results": results,
     }

@@ -50,7 +50,6 @@ class SpectralFiberDatum:
 
     order: int
     points: tuple[int, ...]
-    sheet_degrees: tuple[int, ...] = ()
     su_constraint: bool = False
     base_twist_degree: int = 0
 
@@ -59,10 +58,6 @@ class SpectralFiberDatum:
             raise AdesurfError("group order must be positive")
         pts = tuple(sorted(int(p) % self.order for p in self.points))
         object.__setattr__(self, "points", pts)
-        degs = tuple(int(d) for d in self.sheet_degrees) or (0,) * len(pts)
-        if len(degs) != len(pts):
-            raise AdesurfError("sheet_degrees length must match the number of sheets")
-        object.__setattr__(self, "sheet_degrees", degs)
         if self.su_constraint and not check_su_constraint(pts, self.order):
             raise AdesurfError(
                 f"SU constraint violated: sum of points = {sum(pts) % self.order} != 0 mod {self.order}"

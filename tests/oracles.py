@@ -11,9 +11,10 @@ Fraction algebra over the whole lattice: a nullspace definiteness test and
 one linear solve per coordinate.
 
 ``dense_rank``, ``dense_nullspace`` and ``solve`` are plain Gaussian
-elimination over dense Fraction rows through ``rref``; the package's
-sparse integer echelon is tested against them.  ``dense_rows`` turns the
-package's sparse rows into dense ones, and ``DenseEchelon`` answers
+elimination over dense Fraction rows through ``rref``, which is defined
+here and shares no code with the package; the package's sparse integer
+echelon is tested against them.  ``dense_rows`` turns the package's
+sparse rows into dense ones, and ``DenseEchelon`` answers
 ``Echelon.extend`` by recounting the dense rank of every row it was given.
 
 ``pairwise_simple_roots`` reads simple roots straight off their definition:
@@ -31,13 +32,38 @@ import itertools
 from fractions import Fraction
 from math import isqrt
 
-from adesurf._linalg import rref, signature_symmetric
+from adesurf._linalg import signature_symmetric
 from adesurf.errors import AdesurfError, EnumerationBoundError
 from adesurf.linesroots import _positivity_functional
 
 
 def frac_matrix(rows):
     return [[Fraction(x) for x in row] for row in rows]
+
+
+def rref(mat):
+    """Dense reduced row-echelon form; returns (R, pivot column indices)."""
+    m = [row[:] for row in mat]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
 
 
 def dense_rank(mat) -> int:

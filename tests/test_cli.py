@@ -281,11 +281,47 @@ def test_localmodel_rejects_negative_degrees(tmp_path, capsys, argv, flag):
 
 
 def test_localmodel_verify(capsys):
-    code, out = run_cli(capsys, ["localmodel", "verify", "--suite", "conifold", "--maxdeg", "4"])
+    code, out = run_cli(capsys, ["localmodel", "verify", "--maxdeg", "4"])
     doc = json.loads(out)
     assert code == 0
     assert doc["ok"] is True
+    assert doc["suite"] == "conifold"
     assert doc["min_generators"] == {"cartier_sum": 1, "universal_divisor": 2}
+
+
+def test_localmodel_verify_has_no_suite_flag():
+    with pytest.raises(SystemExit) as exc:
+        run(["localmodel", "verify", "--suite", "conifold"])
+    assert exc.value.code == 2
+
+
+def _ring_doc():
+    return {
+        "vars": [{"name": "x", "degree": 1}, {"name": "s", "degree": 1}],
+        "relations": [{"var": "s", "power": 2, "rhs": [{"coeff": 1, "exps": [2, 0]}]}],
+    }
+
+
+@pytest.mark.parametrize(
+    "spoil, path",
+    [
+        (lambda d: d["relations"][0]["rhs"][0].update(exps=2), "relations[0].rhs[0].exps"),
+        (lambda d: d["vars"][0].update(name=["x"]), "vars[0].name"),
+        (lambda d: d["relations"][0].update(var="w"), "relations[0].var"),
+        (lambda d: d.update(relations=5), "relations"),
+        (lambda d: d["relations"][0].update(rhs=5), "relations[0].rhs"),
+    ],
+    ids=["exps_not_array", "name_not_string", "var_names_nothing", "relations_not_array", "rhs_not_array"],
+)
+def test_ring_file_errors_are_schema_errors(tmp_path, capsys, spoil, path):
+    doc = _ring_doc()
+    spoil(doc)
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, ["localmodel", "dims", "--ring", str(ring), "--upto", "2"])
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert (err["type"], err["path"]) == ("schema", path)
 
 
 def test_localmodel_dims(tmp_path, capsys):
@@ -435,6 +471,42 @@ def test_output_file(tmp_path, capsys):
     code = run(["--output", str(target), "lines", "--kind", "p2", "--n", "2"])
     assert code == 0
     assert json.loads(target.read_text())["count"] == 3
+
+
+def test_input_directory_is_io_error(tmp_path, capsys):
+    code, out = run_cli(capsys, ["localmodel", "dims", "--ring", str(tmp_path), "--upto", "2"])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "io"
+
+
+def test_input_not_utf8_is_schema_error(tmp_path, capsys):
+    ring = tmp_path / "ring.json"
+    ring.write_bytes(b"\xff\xfe" + json.dumps(_ring_doc()).encode("utf-16-le"))
+    code, out = run_cli(capsys, ["localmodel", "dims", "--ring", str(ring), "--upto", "2"])
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert (err["type"], err["path"]) == ("schema", str(ring))
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_output_is_io_error(tmp_path, capsys, where):
+    target = tmp_path / "nonexistent" / "x.json" if where == "missing_dir" else tmp_path
+    code, out = run_cli(capsys, ["--output", str(target), "lines", "--kind", "p2", "--n", "6"])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "io"
+
+
+def test_surface_kind_is_case_sensitive(tmp_path, capsys):
+    datum = tmp_path / "d.json"
+    datum.write_text('{"N": 12, "points": [0, 0]}')
+    surface = tmp_path / "s.json"
+    surface.write_text('{"kind": "F1", "n": 2}')
+    code, out = run_cli(
+        capsys,
+        ["transform", "run", "--surface", str(surface), "--spectral", str(datum)],
+    )
+    assert code == 1
+    assert "unknown surface kind 'F1'" in json.loads(out)["error"]["message"]
 
 
 def test_json_integer_and_rational_encoding():

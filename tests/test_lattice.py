@@ -126,8 +126,9 @@ def test_build_surface_dispatch_and_bounds():
         build_surface("p2", -1)
     with pytest.raises(AdesurfError):
         build_surface("p2", 65)
-    with pytest.raises(AdesurfError):
-        build_surface("quadric", 1)
+    for kind in ("quadric", "f1", "P2"):
+        with pytest.raises(AdesurfError):
+            build_surface(kind, 1)
 
 
 def test_arbitrary_precision_coefficients():

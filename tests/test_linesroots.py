@@ -351,9 +351,19 @@ def test_coefficient_bounds_match_dense_oracle(kind, n):
             for name, c in (("K", source.K), ("f", source.fiber_class), ("b", source.base_class))
         }
     sets = [names for names in ("", "K", "Kf", "Kfb", "f") if all(c in named for c in names)]
+    cases = [[(named[c], t) for c in names] for names in sets for t in (-1, 0, 1)]
+    # dependent constraint sets, with consistent and inconsistent targets
+    k = named["K"]
+    cases += [[(k, a), (k, b)] for a, b in ((-1, -1), (0, 0), (-1, 0), (1, -1))]
+    cases += [[(k, a), (k * 2, b)] for a, b in ((-1, -2), (0, 0), (1, 2), (-1, -1), (0, 1))]
+    if "f" in named:
+        f = named["f"]
+        cases += [
+            [(f, a), (k, b), (f + k, c)]
+            for a, b, c in ((0, -1, -1), (1, -2, -1), (1, 0, 1), (0, -1, 0), (1, -2, 1))
+        ]
     for s in (-2, -1, 0):
-        for names in sets:
-            for t in (-1, 0, 1):
-                cons = [(named[c], t) for c in names]
-                want = _outcome(dense_coefficient_bounds, model, s, cons)
-                assert _outcome(coefficient_bounds, model, s, cons) == want, (s, names, t)
+        for cons in cases:
+            want = _outcome(dense_coefficient_bounds, model, s, cons)
+            got = _outcome(coefficient_bounds, model, s, cons)
+            assert got == want, (s, [(c.coeffs, t) for c, t in cons])

@@ -103,7 +103,7 @@ def test_branch_consistency_profile_vs_disc():
 
 
 def test_sen_delta_perfect_square_degenerates():
-    fam = sen_delta(ONE, T, T * T, {"b2": 0, "b4": 1, "b6": 2})
+    fam = sen_delta(ONE, T, T * T, {"d_L": 1})
     assert fam.delta.is_zero()
     assert fam.degenerate
 
@@ -118,19 +118,15 @@ def test_sen_cover_degree_bookkeeping():
     for k in range(0, 5):
         fam = sen_delta(ONE, ONE, ONE, {"d_L": k})
         assert fam.cover_degree == 4 * k + 8
-    fam = sen_delta(ONE, ONE, ONE, {"b2": 4, "b4": 3, "b6": 2})
-    assert fam.fiber_degree_delta == 6
 
 
 def test_sen_degree_data_validation():
     with pytest.raises(DegreeDataError):
-        sen_delta(ONE, ONE, ONE, {"b2": 4, "b4": 2, "b6": 2})  # pattern broken
-    with pytest.raises(DegreeDataError):
-        sen_delta(ONE, ONE, ONE, {"b2": 3, "b4": 2, "b6": 1})  # odd b2 degree
-    with pytest.raises(DegreeDataError):
         sen_delta(ONE, ONE, ONE, {"d_L": -1})
     with pytest.raises(DegreeDataError):
         sen_delta(ONE, ONE, ONE, {})
+    with pytest.raises(DegreeDataError, match="d_L"):
+        sen_delta(ONE, ONE, ONE, {"d_K": 2})
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -147,8 +143,6 @@ def test_fiber_picard_blocks(n):
 def test_fiber_picard_requires_hirzebruch():
     with pytest.raises(AdesurfError):
         fiber_picard(p2_blowup(3))
-    with pytest.raises(AdesurfError):
-        fiber_picard(hirzebruch_blowup(2), n=3)
 
 
 def test_cover_validation():
