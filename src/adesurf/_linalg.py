@@ -8,8 +8,9 @@ divides out the row's content, so no rational number is built while
 reducing.  The graded pieces of ``localmodel`` produce rows that are a
 monomial times a generator, a handful of nonzeros out of tens or hundreds
 of columns, so the sparse form does work proportional to those nonzeros.
-On this path only ``nullspace`` builds Fractions, once, when it divides
-the reduced rows by their pivots.
+Those rows arrive as ints, because the ring arithmetic runs on ints, so
+``integer_row`` only drops their zeros.  On this path only ``nullspace``
+builds Fractions, once, when it divides the reduced rows by their pivots.
 
 ``linesroots.coefficient_bounds`` uses the same echelon to drop dependent
 constraints, to detect inconsistent targets and to invert a Gram matrix
@@ -30,12 +31,15 @@ def integer_row(row) -> SparseRow:
     """A dense or ``{column: value}`` row of ints/Fractions as a sparse int row.
 
     The denominators are cleared once, by their lcm; scaling a row by a
-    positive constant changes neither its span nor its kernel.
+    positive constant changes neither its span nor its kernel.  A row of
+    ints only loses its zeros.
     """
     items = row.items() if isinstance(row, dict) else enumerate(row)
-    items = [(c, v) for c, v in items if v]
-    den = lcm(*(v.denominator for _, v in items))
-    return {c: v.numerator * (den // v.denominator) for c, v in items}
+    out = {c: v for c, v in items if v}
+    if all(type(v) is int for v in out.values()):
+        return out
+    den = lcm(*(v.denominator for v in out.values()))
+    return {c: v.numerator * (den // v.denominator) for c, v in out.items()}
 
 
 def _cancel(r: SparseRow, p: SparseRow, c: int) -> SparseRow:

@@ -87,6 +87,8 @@ def parse_class(model: SurfaceModel, text: str, path: str = "--class") -> Lattic
         if basis != model.basis_id:
             raise SchemaError(f"{path}.basis", f"basis {basis!r} is not {model.basis_id!r}")
         raw = _json.require(doc, "coeffs", path)
+        if not isinstance(raw, list):
+            raise SchemaError(f"{path}.coeffs", "expected an array of integers")
         coeffs = [_json.parse_int(v, f"{path}.coeffs[{i}]") for i, v in enumerate(raw)]
     else:
         raise SchemaError(path, "expected a coefficient array or a class object")
@@ -133,8 +135,11 @@ def load_surface_doc(path: str) -> tuple[SurfaceModel, CollisionConfig]:
     if not isinstance(kind, str):
         raise SchemaError("kind", "expected a string")
     n = _json.parse_int(_json.require(doc, "n"), "n", minimum=0)
+    raw = doc.get("collisions", [])
+    if not isinstance(raw, list):
+        raise SchemaError("collisions", "expected an array of pairs")
     pairs = []
-    for i, pair in enumerate(doc.get("collisions", [])):
+    for i, pair in enumerate(raw):
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(f"collisions[{i}]", "expected a two-element pair")
         pairs.append(

@@ -6,6 +6,12 @@ right-hand side not containing that variable, and no substitution cycles
 between relation variables.  Monomials then have a unique normal form with
 bounded exponents in the relation variables, and every graded piece is a
 finite-dimensional Q-vector space with the normal-form monomials as basis.
+Coefficients are Python ints wherever the input is integral, as in all
+four built-in rings; a Fraction appears only where a relation has a
+rational coefficient.  Each monomial's normal form is computed once per
+ring, so reducing a product costs one cache lookup per term.  The
+resolution-chart maps send x, y, z to twice their images (see the comment
+above them), so they stay integral too.
 Membership, generation, freeness and minimal-generator questions are all
 answered degree by degree: each element becomes a sparse integer row over
 the normal-form monomials, and ``_linalg.Echelon`` reduces those rows
@@ -34,19 +40,33 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from ._linalg import Echelon, integer_row, nullspace, rank
 from .errors import AdesurfError, RingConstructionError
 
 Monomial = tuple[int, ...]
-Terms = dict[Monomial, Fraction]
+Coeff = int | Fraction
+Terms = dict[Monomial, Coeff]
+
+
+def _exact(c) -> Coeff:
+    """`c` as an exact rational: an int when it is integral, else a Fraction.
+
+    Ring arithmetic then runs on Python ints wherever the input is integral;
+    ``1 == Fraction(1)`` with equal hashes, so mixed terms compare as before.
+    """
+    if isinstance(c, int):
+        return int(c)
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 @dataclass(frozen=True)
 class Relation:
     var: int
     power: int
-    rhs: tuple[tuple[Monomial, Fraction], ...]
+    rhs: tuple[tuple[Monomial, Coeff], ...]
 
 
 class TruncRing:
@@ -72,6 +92,7 @@ class TruncRing:
             self.relations[rel.var] = rel
         self._check_acyclic()
         self._basis_cache: dict[int, list[Monomial]] = {}
+        self._normal_forms: dict[Monomial, Terms] = {}
 
     # -- construction helpers ------------------------------------------------
     def _normalize_relation(self, rel) -> Relation:
@@ -90,9 +111,9 @@ class TruncRing:
                 raise RingConstructionError(
                     "relation right side contains its own left-side variable"
                 )
-            c = Fraction(coeff)
+            c = _exact(coeff)
             if c:
-                rhs_terms[mon] = rhs_terms.get(mon, Fraction(0)) + c
+                rhs_terms[mon] = rhs_terms.get(mon, 0) + c
         lhs_degree = power * self.var_degrees[var]
         for mon in rhs_terms:
             if self.monomial_degree(mon) != lhs_degree:
@@ -137,10 +158,10 @@ class TruncRing:
     def var(self, name: str) -> "RingElement":
         i = self.var_names.index(name)
         mon = tuple(int(j == i) for j in range(self.nvars))
-        return RingElement(self, {mon: Fraction(1)})
+        return RingElement(self, {mon: 1})
 
     def const(self, c) -> "RingElement":
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return RingElement(self, {})
         return RingElement(self, {(0,) * self.nvars: c})
@@ -149,34 +170,92 @@ class TruncRing:
         return RingElement(self, {})
 
     # -- normal forms ----------------------------------------------------------
+    def _rewrite(self, mon: Monomial, rng: random.Random | None = None):
+        """One rewriting step of `mon` as (monomial, coefficient) terms; None if normal.
+
+        The step rewrites the smallest relation variable whose exponent
+        reaches its power, or a random one when `rng` is given.
+        """
+        reducible = [v for v, rel in self.relations.items() if mon[v] >= rel.power]
+        if not reducible:
+            return None
+        v = rng.choice(reducible) if rng is not None else min(reducible)
+        rel = self.relations[v]
+        rest = list(mon)
+        rest[v] -= rel.power
+        return [(tuple(map(add, rest, rmon)), rcoeff) for rmon, rcoeff in rel.rhs]
+
+    def normal_form(self, mon: Monomial) -> Terms:
+        """Normal form of one monomial, computed once per ring.
+
+        Normal forms of solvable relation sets are unique, so each
+        monomial's is kept for the life of the ring.  The caller must not
+        change the returned dict.
+        """
+        cache = self._normal_forms
+        stack = [mon]
+        while stack:
+            m = stack[-1]
+            if m in cache:
+                stack.pop()
+                continue
+            step = self._rewrite(m)
+            if step is None:
+                cache[m] = {m: 1}
+                stack.pop()
+                continue
+            missing = [m2 for m2, _ in step if m2 not in cache]
+            if missing:
+                stack.extend(missing)
+                continue
+            out: Terms = {}
+            for m2, c2 in step:
+                for m3, c3 in cache[m2].items():
+                    new = out.get(m3, 0) + c2 * c3
+                    if new:
+                        out[m3] = new
+                    else:
+                        del out[m3]
+            cache[m] = out
+            stack.pop()
+        return cache[mon]
+
     def reduce_terms(self, terms: Terms, rng: random.Random | None = None) -> Terms:
         """Rewrite until every relation-variable exponent is below its power.
 
-        The rewriting order may be randomized (used by the confluence
-        property test); the result is order-independent for solvable
-        relation sets.
+        Without `rng` each monomial's memoised normal form is summed in.
+        With `rng` the terms are rewritten step by step in a random order
+        (the confluence property test); the result is order-independent
+        for solvable relation sets.
         """
         out: Terms = {}
+        if rng is None:
+            cache = self._normal_forms
+            for mon, coeff in terms.items():
+                if not coeff:
+                    continue
+                nf = cache.get(mon) or self.normal_form(mon)
+                for m, c in nf.items():
+                    new = out.get(m, 0) + coeff * c
+                    if new:
+                        out[m] = new
+                    else:
+                        del out[m]
+            return out
         work = list(terms.items())
         while work:
             mon, coeff = work.pop()
             if coeff == 0:
                 continue
-            reducible = [v for v, rel in self.relations.items() if mon[v] >= rel.power]
-            if not reducible:
-                new = out.get(mon, Fraction(0)) + coeff
+            step = self._rewrite(mon, rng)
+            if step is None:
+                new = out.get(mon, 0) + coeff
                 if new:
                     out[mon] = new
                 else:
                     out.pop(mon, None)
                 continue
-            v = rng.choice(reducible) if rng is not None else min(reducible)
-            rel = self.relations[v]
-            rest = list(mon)
-            rest[v] -= rel.power
-            for rmon, rcoeff in rel.rhs:
-                combined = tuple(a + b for a, b in zip(rest, rmon))
-                work.append((combined, coeff * rcoeff))
+            work.extend((m, coeff * c) for m, c in step)
         return out
 
     def basis(self, d: int) -> list[Monomial]:
@@ -241,7 +320,7 @@ class RingElement:
         other = self._coerce(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            new = out.get(m, Fraction(0)) + c
+            new = out.get(m, 0) + c
             if new:
                 out[m] = new
             else:
@@ -260,8 +339,8 @@ class RingElement:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+        if not isinstance(other, RingElement) and isinstance(other, (int, Fraction)):
+            c = _exact(other)
             if not c:
                 return self.ring.zero()
             return RingElement(
@@ -271,8 +350,8 @@ class RingElement:
         prod: Terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mon = tuple(a + b for a, b in zip(m1, m2))
-                prod[mon] = prod.get(mon, Fraction(0)) + c1 * c2
+                mon = tuple(map(add, m1, m2))
+                prod[mon] = prod.get(mon, 0) + c1 * c2
         return RingElement(self.ring, prod)
 
     __rmul__ = __mul__
@@ -319,11 +398,15 @@ class RingElement:
     def map_to(self, target: TruncRing, images: dict[str, "RingElement"]) -> "RingElement":
         """Substitution homomorphism sending each variable to its image."""
         out = target.zero()
+        powers: dict[tuple[int, int], RingElement] = {}
         for mon, coeff in self.terms.items():
             term = target.const(coeff)
             for i, e in enumerate(mon):
                 if e:
-                    term = term * (images[self.ring.var_names[i]] ** e)
+                    p = powers.get((i, e))
+                    if p is None:
+                        p = powers[(i, e)] = images[self.ring.var_names[i]] ** e
+                    term = term * p
             out = out + term
         return out
 
@@ -372,7 +455,8 @@ class GradedModule:
             for mon in self.ring.subring_monomials(self.coeff_vars, rem):
                 if skip_units and all(e == 0 for e in mon):
                     continue
-                out.append(RingElement(self.ring, {mon: Fraction(1)}, reduced=True) * g)
+                shifted = {tuple(map(add, mon, m)): c for m, c in g.terms.items()}
+                out.append(RingElement(self.ring, shifted))
         return out
 
 
@@ -397,7 +481,7 @@ def _vectors(ring: TruncRing, elements: list[RingElement], d: int) -> list[dict[
     return [integer_row(dict(_columns(index, el))) for el in elements]
 
 
-def _relation_rows(ring: TruncRing, elements: list[RingElement], d: int) -> list[dict[int, Fraction]]:
+def _relation_rows(ring: TruncRing, elements: list[RingElement], d: int) -> list[dict[int, Coeff]]:
     """Transposed coordinates: one sparse row per basis monomial, one column per element.
 
     The right kernel of these rows is the space of linear relations among
@@ -405,7 +489,7 @@ def _relation_rows(ring: TruncRing, elements: list[RingElement], d: int) -> list
     """
     basis = ring.basis(d)
     index = {m: i for i, m in enumerate(basis)}
-    rows: list[dict[int, Fraction]] = [{} for _ in basis]
+    rows: list[dict[int, Coeff]] = [{} for _ in basis]
     for j, el in enumerate(elements):
         for col, coeff in _columns(index, el):
             rows[col][j] = coeff
@@ -501,7 +585,7 @@ def singular_locus_rank(relation_polys, point) -> int:
     for p in polys:
         row = []
         for v in range(ring.nvars):
-            val = Fraction(0)
+            val = 0
             for mon, coeff in p.terms.items():
                 if mon[v] == 0:
                     continue
@@ -563,14 +647,22 @@ def central_fiber_ring(max_degree: int = 8) -> TruncRing:
 # x-y = -w L2^2; chart B is L2 = 1 with coordinates (u, L1) where
 # x-y = u, z = -u L1, x+y = -u L1^2.  The exceptional curve C is w = 0 in
 # chart A, u = 0 in chart B, glued along L1 = 1/L2.
+#
+# The chart maps send x, y, z to twice their images, so every coefficient
+# stays an integer: a form of degree d maps to 2^d times its image.  No
+# caller can tell: ``exceptional_degree`` reads only exponents,
+# ``pulled_back_ideal_generator`` keeps the generator whose quotient is a
+# unit, the two entries h, g of a syzygy have one degree so ``h == L2 * g``
+# holds for the doubled images exactly when it holds for the true ones,
+# and a relation that maps to zero still maps to zero.
 
-ChartPoly = dict[tuple[int, int], Fraction]  # (base exponent, lambda exponent)
+ChartPoly = dict[tuple[int, int], Coeff]  # (base exponent, lambda exponent)
 
 
 def _cp_add(a: ChartPoly, b: ChartPoly) -> ChartPoly:
     out = dict(a)
     for k, v in b.items():
-        new = out.get(k, Fraction(0)) + v
+        new = out.get(k, 0) + v
         if new:
             out[k] = new
         else:
@@ -583,7 +675,7 @@ def _cp_mul(a: ChartPoly, b: ChartPoly) -> ChartPoly:
     for (i, j), c in a.items():
         for (k, l), d in b.items():
             key = (i + k, j + l)
-            new = out.get(key, Fraction(0)) + c * d
+            new = out.get(key, 0) + c * d
             if new:
                 out[key] = new
             else:
@@ -592,32 +684,31 @@ def _cp_mul(a: ChartPoly, b: ChartPoly) -> ChartPoly:
 
 
 def _cp_pow(a: ChartPoly, e: int) -> ChartPoly:
-    out: ChartPoly = {(0, 0): Fraction(1)}
+    out: ChartPoly = {(0, 0): 1}
     for _ in range(e):
         out = _cp_mul(out, a)
     return out
 
 
-_HALF = Fraction(1, 2)
-
-# images of x, y, z in each chart as (base, lambda) polynomials
+# images of 2x, 2y, 2z in each chart as (base, lambda) polynomials
 _CHART_A_IMAGES = {
-    "x": {(1, 0): _HALF, (1, 2): -_HALF},  # x = (w - w L2^2)/2
-    "y": {(1, 0): _HALF, (1, 2): _HALF},   # y = (w + w L2^2)/2
-    "z": {(1, 1): Fraction(1)},            # z = w L2
+    "x": {(1, 0): 1, (1, 2): -1},   # 2x = w - w L2^2
+    "y": {(1, 0): 1, (1, 2): 1},    # 2y = w + w L2^2
+    "z": {(1, 1): 2},               # 2z = 2 w L2
 }
 _CHART_B_IMAGES = {
-    "x": {(1, 0): _HALF, (1, 2): -_HALF},  # x = (u - u L1^2)/2
-    "y": {(1, 0): -_HALF, (1, 2): -_HALF}, # y = -(u + u L1^2)/2
-    "z": {(1, 1): Fraction(-1)},           # z = -u L1
+    "x": {(1, 0): 1, (1, 2): -1},   # 2x = u - u L1^2
+    "y": {(1, 0): -1, (1, 2): -1},  # 2y = -(u + u L1^2)
+    "z": {(1, 1): -2},              # 2z = -2 u L1
 }
 
 
 def to_chart(element: RingElement, chart: str) -> ChartPoly:
-    """Image of a polynomial in x, y, z on a resolution chart."""
+    """Image of a polynomial in x, y, z on a resolution chart, its degree-d part times 2^d."""
     images = _CHART_A_IMAGES if chart == "A" else _CHART_B_IMAGES
     out: ChartPoly = {}
     names = element.ring.var_names
+    powers: dict[tuple[str, int], ChartPoly] = {}
     for mon, coeff in element.terms.items():
         term: ChartPoly = {(0, 0): coeff}
         for i, e in enumerate(mon):
@@ -626,7 +717,10 @@ def to_chart(element: RingElement, chart: str) -> ChartPoly:
             name = names[i]
             if name not in images:
                 raise AdesurfError(f"chart map undefined for variable {name!r}")
-            term = _cp_mul(term, _cp_pow(images[name], e))
+            p = powers.get((name, e))
+            if p is None:
+                p = powers[(name, e)] = _cp_pow(images[name], e)
+            term = _cp_mul(term, p)
         out = _cp_add(out, term)
     return out
 
@@ -635,7 +729,7 @@ def _lambda_shift(p: ChartPoly, k: int) -> ChartPoly:
     return {(i, j + k): c for (i, j), c in p.items()}
 
 
-def _single_term(p: ChartPoly) -> tuple[int, int, Fraction]:
+def _single_term(p: ChartPoly) -> tuple[int, int, Coeff]:
     if len(p) != 1:
         raise AdesurfError("expected a monomial chart polynomial")
     (i, j), c = next(iter(p.items()))
@@ -738,15 +832,15 @@ def _kernel_syzygy_checks(maxdeg: int, report: ExtensionChainReport) -> None:
         ker_dim = f2_dim - img_dim
         report.record("dimension_additivity", f2_dim == img_dim + ker_dim, d)
 
-        # explicit kernel: nullspace combinations of the spanning set
+        # explicit kernel: nullspace combinations of the spanning set, each
+        # scaled to integers (no check below changes under a positive scale)
         null = nullspace(_relation_rows(cone, imaged, d), len(imaged))
         # remove combinations that are zero already in F_2 (span redundancy)
         kernel_elements = []
         for combo in null:
             el = fiber.zero()
-            for c, sp in zip(combo, span):
-                if c:
-                    el = el + c * sp
+            for j, c in integer_row(combo).items():
+                el = el + c * span[j]
             if not el.is_zero():
                 kernel_elements.append(el)
         kvecs = _vectors(fiber, kernel_elements, d)
@@ -765,18 +859,16 @@ def _kernel_syzygy_checks(maxdeg: int, report: ExtensionChainReport) -> None:
             mons = cone.subring_monomials(cone_sub, d - 1)
             cols = []
             for m in mons:
-                cols.append(cz * RingElement(cone, {m: Fraction(1)}, reduced=True))
+                cols.append(cz * RingElement(cone, {m: 1}, reduced=True))
             for m in mons:
-                cols.append((cx - cy) * RingElement(cone, {m: Fraction(1)}, reduced=True))
+                cols.append((cx - cy) * RingElement(cone, {m: 1}, reduced=True))
             syz = nullspace(_relation_rows(cone, cols, d), len(cols))
             syz_pairs = []
             for combo in syz:
                 h = cone.zero()
                 g = cone.zero()
-                for idx, c in enumerate(combo):
-                    if not c:
-                        continue
-                    mono = RingElement(cone, {mons[idx % len(mons)]: Fraction(1)}, reduced=True)
+                for idx, c in integer_row(combo).items():
+                    mono = RingElement(cone, {mons[idx % len(mons)]: 1}, reduced=True)
                     if idx < len(mons):
                         h = h + c * mono
                     else:
@@ -811,11 +903,11 @@ def _split_type_checks(maxdeg: int, report: ExtensionChainReport) -> None:
     bx, by, bz = (base.var(v) for v in "xyz")
 
     # exceptional curve: w = 0 on chart A, u = 0 on chart B
-    c_deg = exceptional_degree({(1, 0): Fraction(1)}, {(1, 0): Fraction(1)})
+    c_deg = exceptional_degree({(1, 0): 1}, {(1, 0): 1})
     report.record("exceptional_self_intersection", c_deg == -2)
 
     # l_1 is the lambda_2-locus: generator L2 on chart A, unit on chart B
-    l1_deg = exceptional_degree({(0, 1): Fraction(1)}, {(0, 0): Fraction(1)})
+    l1_deg = exceptional_degree({(0, 1): 1}, {(0, 0): 1})
     # l_2 is the pullback of the line x - y = z = 0 downstairs
     gen_a = pulled_back_ideal_generator((bx - by, bz), "A")
     gen_b = pulled_back_ideal_generator((bx - by, bz), "B")

@@ -24,6 +24,14 @@ every pair.
 ``backtrack_effective`` decides whether a class is a non-negative integer
 sum of an explicit generator list by a memoised backtracking search over
 generator multiplicities, with a node cap.
+
+``fraction_reduce``, ``fraction_mul``, ``fraction_spanning_terms`` and
+``fraction_to_chart`` are graded-ring arithmetic on plain ``{monomial:
+Fraction}`` dicts: a relation rewriting loop that recomputes every normal
+form, products multiplied out term by term, and the resolution-chart maps
+with their true images, which carry 1/2.  They read only a ring's
+variables, relations and basis, so the package's integer arithmetic and
+memoised normal forms are tested against them.
 """
 
 from __future__ import annotations
@@ -380,3 +388,89 @@ def backtrack_effective(model, generators, d, tilt, node_budget=20_000):
 
 class _NodeCap(Exception):
     pass
+
+
+def fraction_reduce(ring, terms):
+    """Normal form of `terms` on Fraction coefficients, rewriting the smallest reducible variable."""
+    out = {}
+    work = [(mon, Fraction(c)) for mon, c in terms.items()]
+    while work:
+        mon, coeff = work.pop()
+        if coeff == 0:
+            continue
+        reducible = [v for v, rel in ring.relations.items() if mon[v] >= rel.power]
+        if not reducible:
+            new = out.get(mon, Fraction(0)) + coeff
+            if new:
+                out[mon] = new
+            else:
+                out.pop(mon, None)
+            continue
+        rel = ring.relations[min(reducible)]
+        rest = list(mon)
+        rest[rel.var] -= rel.power
+        for rmon, rcoeff in rel.rhs:
+            work.append((tuple(a + b for a, b in zip(rest, rmon)), coeff * Fraction(rcoeff)))
+    return out
+
+
+def fraction_mul(ring, a, b):
+    """Normal form of the product of two term dicts."""
+    prod = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mon = tuple(x + y for x, y in zip(m1, m2))
+            prod[mon] = prod.get(mon, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    return fraction_reduce(ring, prod)
+
+
+def fraction_spanning_terms(ring, generators, coeff_vars, d, skip_units=False):
+    """Terms of every (subring monomial) * generator of degree d, in ``spanning_elements`` order."""
+    out = []
+    for g in generators:
+        rem = d - ring.monomial_degree(next(iter(g)))
+        if rem < 0:
+            continue
+        for mon in ring.subring_monomials(coeff_vars, rem):
+            if skip_units and not any(mon):
+                continue
+            out.append(fraction_mul(ring, {mon: Fraction(1)}, g))
+    return out
+
+
+_HALF = Fraction(1, 2)
+_FRACTION_CHART_IMAGES = {
+    "A": {
+        "x": {(1, 0): _HALF, (1, 2): -_HALF},  # x = (w - w L2^2)/2
+        "y": {(1, 0): _HALF, (1, 2): _HALF},  # y = (w + w L2^2)/2
+        "z": {(1, 1): Fraction(1)},  # z = w L2
+    },
+    "B": {
+        "x": {(1, 0): _HALF, (1, 2): -_HALF},  # x = (u - u L1^2)/2
+        "y": {(1, 0): -_HALF, (1, 2): -_HALF},  # y = -(u + u L1^2)/2
+        "z": {(1, 1): Fraction(-1)},  # z = -u L1
+    },
+}
+
+
+def _chart_mul(a, b):
+    out = {}
+    for (i, j), c in a.items():
+        for (k, l), e in b.items():
+            key = (i + k, j + l)
+            out[key] = out.get(key, Fraction(0)) + c * e
+    return {k: v for k, v in out.items() if v}
+
+
+def fraction_to_chart(terms, var_names, chart):
+    """Image of a polynomial in x, y, z on resolution chart "A" or "B", on Fraction coefficients."""
+    images = _FRACTION_CHART_IMAGES[chart]
+    out = {}
+    for mon, coeff in terms.items():
+        term = {(0, 0): Fraction(coeff)}
+        for name, e in zip(var_names, mon):
+            for _ in range(e):
+                term = _chart_mul(term, images[name])
+        for k, v in term.items():
+            out[k] = out.get(k, Fraction(0)) + v
+    return {k: v for k, v in out.items() if v}

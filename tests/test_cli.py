@@ -396,6 +396,26 @@ def test_schema_error_names_field(tmp_path, capsys):
     assert "points" in doc["error"]["message"] or "coeffs" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("collisions", [5, {"a": 1}], ids=["number", "object"])
+def test_surface_collisions_not_array_is_schema_error(tmp_path, capsys, collisions):
+    surface = tmp_path / "s.json"
+    surface.write_text(json.dumps({"kind": "hirzebruch_blowup", "n": 2, "collisions": collisions}))
+    datum = tmp_path / "d.json"
+    datum.write_text('{"N": 12, "points": [5, 7]}')
+    code, out = run_cli(capsys, ["transform", "run", "--surface", str(surface), "--spectral", str(datum)])
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert (err["type"], err["path"]) == ("schema", "collisions")
+
+
+def test_class_coeffs_not_array_is_schema_error(capsys):
+    cls = '{"basis": "p2_blowup(2)", "coeffs": 5}'
+    code, out = run_cli(capsys, ["chi", "--kind", "p2", "--n", "2", "--class", cls])
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert (err["type"], err["path"]) == ("schema", "--class.coeffs")
+
+
 def test_parse_error_reports_position(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text('{"n": 2,,}')
