@@ -37,7 +37,7 @@ RINGS = {
 
 
 def _modules(name, maxdeg):
-    """(ring, generators, coefficient variables, skip_units) of each spanning set used on `name`."""
+    """The ring, and (generators, coefficient variables, skip_units) of each spanning set built on it."""
     ring = RINGS[name](maxdeg)
     x, y, z = (ring.var(v) for v in "xyz")
     s = ring.var("s") if "s" in ring.var_names else None
