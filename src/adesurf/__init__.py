@@ -9,78 +9,4 @@ level of divisor classes, and mechanically verifies the branch-locus
 coordinate-ring models with an exact graded-ring engine.
 """
 
-from .bundles import (
-    EBundleClass,
-    EGroupPoint,
-    EMarking,
-    FormalBundle,
-    boundary_degree,
-    build_tautological,
-    check_su_constraint,
-    restrict_to_boundary,
-    twist,
-)
-from .divisors import (
-    CollisionConfig,
-    EffectivityResult,
-    ExtProfile,
-    euler_char,
-    ext_profile,
-    is_effective,
-)
-from .errors import AdesurfError
-from .lattice import (
-    LatticeClass,
-    SurfaceModel,
-    build_surface,
-    change_basis,
-    hirzebruch_blowup,
-    p2_blowup,
-    p2_presentation,
-    pair,
-)
-from .linesroots import (
-    RootDatum,
-    WeightVector,
-    coefficient_bounds,
-    enumerate_classes,
-    enumerate_lines,
-    enumerate_roots,
-    reflect,
-    weight_of,
-    weyl_orbit,
-)
-from .localmodel import (
-    GradedModule,
-    RingElement,
-    TruncRing,
-    check_free,
-    check_generate,
-    graded_dim,
-    min_generator_profile,
-    min_generators_at_origin,
-    singular_locus_rank,
-    verify_extension_chain,
-)
-from .qpoly import QPoly
-from .spectral import (
-    BranchReport,
-    CoverPoly,
-    SenFamily,
-    branch_report,
-    discriminant,
-    fiber_picard,
-    fiber_profile,
-    sen_delta,
-)
-from .transform import (
-    SpectralFiberDatum,
-    TransformResult,
-    check_restriction_compatibility,
-    fm_classlevel,
-    local_isomorphism_class,
-    required_collisions,
-    transform,
-)
-
 __version__ = "0.1.0"

@@ -14,30 +14,20 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import _json
-from .bundles import (
-    EMarking,
-    FormalBundle,
-    boundary_degree,
-    build_tautological,
-    restrict_to_boundary,
-    twist,
-)
-from .divisors import EFFECTIVE, NOT_EFFECTIVE, CollisionConfig, euler_char, ext_profile
 from .errors import AdesurfError, SchemaError
-from .lattice import LatticeClass, SurfaceModel, build_surface, p2_presentation
-from .linesroots import enumerate_lines, enumerate_roots, weight_of, weyl_orbit
-from .localmodel import TruncRing, verify_extension_chain
-from .qpoly import QPoly
-from .spectral import CoverPoly, branch_report, fiber_picard, sen_delta
-from .suite import run_suite
-from .transform import (
-    SpectralFiberDatum,
-    fm_classlevel,
-    required_collisions,
-    transform,
-)
+
+# Each handler imports the modules its command needs, so a one-shot process
+# loads only those.
+if TYPE_CHECKING:
+    from .bundles import FormalBundle
+    from .divisors import CollisionConfig
+    from .lattice import LatticeClass, SurfaceModel
+    from .localmodel import TruncRing
+    from .qpoly import QPoly
+
 
 def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
@@ -98,6 +88,8 @@ def parse_class(model: SurfaceModel, text: str, path: str = "--class") -> Lattic
 
 
 def parse_collisions(text: str | None) -> CollisionConfig:
+    from .divisors import CollisionConfig
+
     if not text:
         return CollisionConfig()
     pairs = []
@@ -130,6 +122,9 @@ def read_document(path: str):
 
 
 def load_surface_doc(path: str) -> tuple[SurfaceModel, CollisionConfig]:
+    from .divisors import CollisionConfig
+    from .lattice import build_surface
+
     doc = read_document(path)
     kind = _json.require(doc, "kind")
     if not isinstance(kind, str):
@@ -160,6 +155,8 @@ def load_spectral(path: str, strict: bool = False):
     if not isinstance(doc, dict):
         raise SchemaError("<root>", "expected an object")
     if "points" in doc:
+        from .transform import SpectralFiberDatum
+
         order = _json.parse_int(_json.require(doc, "N"), "N", minimum=1)
         raw = _json.require(doc, "points")
         if not isinstance(raw, list):
@@ -183,6 +180,9 @@ def load_spectral(path: str, strict: bool = False):
         )
         return "datum", datum
     if "coeffs" in doc:
+        from .qpoly import QPoly
+        from .spectral import CoverPoly
+
         n = _json.parse_int(_json.require(doc, "n"), "n", minimum=1)
         raw = _json.require(doc, "coeffs")
         if not isinstance(raw, list) or len(raw) != n:
@@ -204,6 +204,8 @@ def load_spectral(path: str, strict: bool = False):
 
 
 def parse_qpoly_arg(text: str, path: str) -> QPoly:
+    from .qpoly import QPoly
+
     doc = _json.parse_document(text, path)
     if not isinstance(doc, list):
         raise SchemaError(path, "expected an array of rationals (ascending powers of t)")
@@ -211,6 +213,8 @@ def parse_qpoly_arg(text: str, path: str) -> QPoly:
 
 
 def load_ring_doc(path: str) -> TruncRing:
+    from .localmodel import TruncRing
+
     doc = read_document(path)
     raw_vars = _json.require(doc, "vars")
     if not isinstance(raw_vars, list) or not raw_vars:
@@ -261,12 +265,15 @@ def load_ring_doc(path: str) -> TruncRing:
 
 
 def _model_from_args(args) -> SurfaceModel:
+    from .lattice import build_surface
+
     return build_surface(args.kind, args.n)
 
 
 def cmd_surface(args) -> dict:
     model = _model_from_args(args)
-    collisions = parse_collisions(args.collisions)
+    # collisions need the divisors module; most surface queries name none
+    collisions = parse_collisions(args.collisions) if args.collisions else None
     doc = {
         "kind": model.kind,
         "n": model.n,
@@ -281,10 +288,12 @@ def cmd_surface(args) -> dict:
     if model.fiber_class is not None:
         doc["fiber_class"] = class_doc(model.fiber_class)
         doc["base_class"] = class_doc(model.base_class)
-    if collisions.pairs:
+    if collisions is not None and collisions.pairs:
         doc["collisions"] = [list(p) for p in collisions.pairs]
         doc["induced_curves"] = [class_doc(c) for c in collisions.induced_curves(model)]
     if args.p2_basis:
+        from .lattice import p2_presentation
+
         companion = p2_presentation(model)
         doc["p2_presentation"] = {
             "basis_id": companion.basis_id,
@@ -306,6 +315,8 @@ def _parse_constraint(text: str | None) -> int | None:
 
 
 def cmd_lines(args) -> dict:
+    from .linesroots import enumerate_lines
+
     model = _model_from_args(args)
     fiber_value = _parse_constraint(args.constraint)
     lines = enumerate_lines(model, fiber_value, bound_margin=args.margin)
@@ -325,6 +336,8 @@ def _orthogonality(args, model: SurfaceModel):
 
 
 def cmd_roots(args) -> dict:
+    from .linesroots import enumerate_roots
+
     model = _model_from_args(args)
     datum = enumerate_roots(model, _orthogonality(args, model))
     return {
@@ -339,6 +352,8 @@ def cmd_roots(args) -> dict:
 
 
 def cmd_orbit(args) -> dict:
+    from .linesroots import enumerate_roots, weyl_orbit
+
     model = _model_from_args(args)
     datum = enumerate_roots(model, _orthogonality(args, model))
     cls = parse_class(model, args.cls)
@@ -351,6 +366,8 @@ def cmd_orbit(args) -> dict:
 
 
 def cmd_weights(args) -> dict:
+    from .linesroots import enumerate_lines, enumerate_roots, weight_of
+
     model = _model_from_args(args)
     datum = enumerate_roots(model, _orthogonality(args, model))
     if args.lines:
@@ -370,12 +387,16 @@ def cmd_weights(args) -> dict:
 
 
 def cmd_chi(args) -> dict:
+    from .divisors import euler_char
+
     model = _model_from_args(args)
     cls = parse_class(model, args.cls)
     return {"basis": model.basis_id, "class": list(cls.coeffs), "chi": euler_char(model, cls)}
 
 
 def cmd_ext(args) -> dict:
+    from .divisors import EFFECTIVE, NOT_EFFECTIVE, CollisionConfig, ext_profile
+
     model = _model_from_args(args)
     l1 = parse_class(model, args.l1, "--l1")
     l2 = parse_class(model, args.l2, "--l2")
@@ -397,6 +418,8 @@ def cmd_ext(args) -> dict:
 
 
 def cmd_bundle(args) -> dict:
+    from .bundles import boundary_degree, build_tautological, twist
+
     model = _model_from_args(args)
     bundle = build_tautological(model, args.rep)
     if args.minus_l0:
@@ -407,6 +430,8 @@ def cmd_bundle(args) -> dict:
 
 
 def cmd_restrict(args) -> dict:
+    from .bundles import EMarking, build_tautological, restrict_to_boundary, twist
+
     model = _model_from_args(args)
     bundle = build_tautological(model, args.rep)
     if not args.raw:
@@ -426,6 +451,8 @@ def cmd_restrict(args) -> dict:
 
 def cmd_spectral(args) -> dict:
     if args.spectral_action == "analyze":
+        from .spectral import branch_report
+
         kind, value = load_spectral(args.cover)
         if kind != "cover":
             raise SchemaError("<root>", "analyze expects a cover file with 'coeffs'")
@@ -441,6 +468,8 @@ def cmd_spectral(args) -> dict:
             "nonrational_factors": [qpoly_doc(f) for f in report.nonrational_factors],
         }
     if args.spectral_action == "sen":
+        from .spectral import sen_delta
+
         b2 = parse_qpoly_arg(args.b2, "--b2")
         b4 = parse_qpoly_arg(args.b4, "--b4")
         b6 = parse_qpoly_arg(args.b6, "--b6")
@@ -452,6 +481,9 @@ def cmd_spectral(args) -> dict:
             "degenerate": fam.degenerate,
         }
     if args.spectral_action == "picard":
+        from .lattice import build_surface
+        from .spectral import fiber_picard
+
         model = build_surface("hirzebruch", args.n)
         decomp = fiber_picard(model)
         return {
@@ -466,6 +498,8 @@ def cmd_spectral(args) -> dict:
 
 
 def cmd_transform(args) -> dict:
+    from .transform import fm_classlevel, required_collisions, transform
+
     model, collisions = load_surface_doc(args.surface)
     kind, datum = load_spectral(args.spectral, strict=args.strict)
     if kind != "datum":
@@ -495,6 +529,8 @@ def _check_degree(flag: str, value: int) -> None:
 
 def cmd_localmodel(args) -> dict:
     if args.localmodel_action == "verify":
+        from .localmodel import verify_extension_chain
+
         _check_degree("--maxdeg", args.maxdeg)
         report = verify_extension_chain(args.maxdeg)
         if report.truncation_warning:
@@ -529,6 +565,8 @@ def cmd_suite(args) -> dict:
     if args.trials < 1:
         raise SchemaError("--trials", f"expected at least 1 trial, got {args.trials}")
     _check_degree("--maxdeg", args.maxdeg)
+    from .suite import run_suite
+
     return run_suite(trials=args.trials, maxdeg=args.maxdeg)
 
 

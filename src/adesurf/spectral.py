@@ -25,8 +25,8 @@ from .errors import AdesurfError, DegreeDataError, NonReducedCoverError
 from .lattice import KIND_HIRZEBRUCH, LatticeClass, SurfaceModel
 from .qpoly import (
     QPoly,
-    irreducible_factors,
-    rational_roots,
+    factor_multiplicities,
+    linear_roots,
     squarefree_decomposition,
     u_degree,
     u_derivative,
@@ -105,17 +105,12 @@ class BranchReport:
 def branch_report(cover: CoverPoly) -> BranchReport:
     """Discriminant, exact rational branch points, and ramification profiles."""
     disc = discriminant(cover)
-    roots = rational_roots(disc)
+    factors = factor_multiplicities(disc)
+    roots = linear_roots(factors)
     points = tuple(r for r, _ in roots)
     mults = tuple(m for _, m in roots)
     profile = tuple((r, fiber_profile(cover, r)) for r, _ in roots)
-    # strip rational linear factors, factor what is left
-    residual = disc
-    for r, m in roots:
-        lin = QPoly((-r, Fraction(1)))
-        for _ in range(m):
-            residual = residual.exact_div(lin)
-    nonrational = tuple(f for f in irreducible_factors(residual) if f.degree >= 1)
+    nonrational = tuple(f for f, _ in factors if f.degree >= 2)
     return BranchReport(
         discriminant=disc,
         branch_points=points,

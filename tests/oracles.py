@@ -32,6 +32,10 @@ form, products multiplied out term by term, and the resolution-chart maps
 with their true images, which carry 1/2.  They read only a ring's
 variables, relations and basis, so the package's integer arithmetic and
 memoised normal forms are tested against them.
+
+``sympy_factors`` factors a polynomial over Q with sympy's ``factor_list``;
+the package's own Zassenhaus factoring is tested against it.  sympy is
+needed only here, and is imported on the first call.
 """
 
 from __future__ import annotations
@@ -474,3 +478,24 @@ def fraction_to_chart(terms, var_names, chart):
         for k, v in term.items():
             out[k] = out.get(k, Fraction(0)) + v
     return {k: v for k, v in out.items() if v}
+
+
+def sympy_factors(p):
+    """(irreducible factor, multiplicity) pairs of a QPoly over Q, by sympy.
+
+    Factors are integer-primitive with positive leading coefficient, as
+    QPolys, sorted by (degree, coeffs).
+    """
+    import sympy
+
+    from adesurf.qpoly import QPoly
+
+    t = sympy.Symbol("t")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * t**i for i, c in enumerate(p.coeffs))
+    _, factors = sympy.factor_list(sympy.Poly(expr, t))
+    out = []
+    for fac, mult in factors:
+        coeffs = reversed(sympy.Poly(fac, t).all_coeffs())
+        q = QPoly(tuple(Fraction(str(c)) for c in coeffs))
+        out.append((QPoly(q.primitive_int()), mult))
+    return sorted(out, key=lambda fm: (fm[0].degree, fm[0].coeffs))

@@ -1,0 +1,83 @@
+"""A one-shot cli process imports only the modules its command runs.
+
+Each case runs ``adesurf.cli.run`` in a fresh interpreter and reports which
+package modules were loaded; nothing at the package root imports a
+submodule, so those are exactly the modules the command needed.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import adesurf
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(adesurf.__file__)))
+
+# argv[1] is "block-sympy" or "-"; the rest is the cli command line
+_PROBE = """
+import contextlib, io, json, sys
+if sys.argv[1] == "block-sympy":
+    sys.modules["sympy"] = None  # any import of sympy now raises ImportError
+import adesurf.cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = adesurf.cli.run(sys.argv[2:])
+print(json.dumps({
+    "code": code,
+    "stdout": out.getvalue(),
+    "adesurf": sorted(m for m in sys.modules if m.split(".")[0] == "adesurf"),
+    "sympy": sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "sympy" and mod is not None),
+}))
+"""
+
+
+def probe(argv, block_sympy=False):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, "block-sympy" if block_sympy else "-", *argv],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_lines_loads_only_the_enumeration_modules():
+    got = probe(["lines", "--kind", "p2", "--n", "6"])
+    assert got["code"] == 0
+    assert json.loads(got["stdout"])["count"] == 27
+    # in particular none of localmodel, spectral, qpoly, transform, bundles or suite
+    assert got["adesurf"] == [
+        "adesurf",
+        "adesurf._enumkernel",
+        "adesurf._json",
+        "adesurf._linalg",
+        "adesurf.cli",
+        "adesurf.errors",
+        "adesurf.lattice",
+        "adesurf.linesroots",
+    ]
+
+
+def test_schema_error_loads_no_domain_module():
+    got = probe(["suite", "--name", "nope"])
+    assert got["code"] == 1
+    assert got["adesurf"] == ["adesurf", "adesurf._json", "adesurf.cli", "adesurf.errors"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectral", "analyze", "--cover", "COVER"],
+        ["suite", "--name", "paper-checks"],
+    ],
+    ids=["spectral-analyze", "suite"],
+)
+def test_runs_without_sympy(tmp_path, argv):
+    cover = tmp_path / "cover.json"
+    # t^4 - 10 t^2 + 1 is left to factor, and splits mod every prime
+    cover.write_text('{"n": 2, "coeffs": [["1", "0", "-10", "0", "1"], []]}')
+    got = probe([str(cover) if a == "COVER" else a for a in argv], block_sympy=True)
+    assert got["code"] == 0
+    assert "error" not in json.loads(got["stdout"])
+    assert got["sympy"] == []

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adesurf.qpoly import (
     QPoly,
+    factor_multiplicities,
     irreducible_factors,
     qpoly_gcd,
     rational_roots,
@@ -13,6 +16,8 @@ from adesurf.qpoly import (
     u_resultant_prs,
     u_resultant_sylvester,
 )
+
+from .oracles import sympy_factors
 
 
 def _rand_qpoly(rng, max_deg=3, span=4):
@@ -106,6 +111,55 @@ def test_irreducible_factors():
         (Fraction(-3), Fraction(0), Fraction(1)),
         (Fraction(-2), Fraction(0), Fraction(1)),
     ]
+
+
+# one factor: coefficients below the leading one, the leading coefficient,
+# a common denominator, and a multiplicity
+_FACTOR = st.tuples(
+    st.lists(st.integers(-20, 20), min_size=1, max_size=4),
+    st.integers(-9, 9).filter(bool),
+    st.sampled_from((1, 2, 3, 5, 7)),
+    st.sampled_from((1, 1, 1, 2, 3)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_FACTOR, min_size=1, max_size=5))
+def test_factoring_matches_sympy(parts):
+    p = QPoly.one()
+    for low, lead, den, mult in parts:
+        f = QPoly(tuple(Fraction(c, den) for c in low) + (Fraction(lead, den),))
+        if p.degree + f.degree * mult <= 12:
+            p = p * f**mult
+    want = sympy_factors(p)
+    assert factor_multiplicities(p) == want
+    assert irreducible_factors(p) == [f for f, _ in want]
+
+
+@pytest.mark.parametrize(
+    "coeffs, want",
+    [
+        # a constant near 10^18: no divisor search could find its roots
+        ((1000000007000000049, 0, 1), [(1000000007000000049, 0, 1)]),
+        # irreducible, but it splits mod every prime: every subset of the
+        # modular factors is tried and refused
+        ((1, 0, -10, 0, 1), [(1, 0, -10, 0, 1)]),
+        # minimal polynomial of sqrt 2 + sqrt 3 + sqrt 5, the same at degree 8
+        ((576, 0, -960, 0, 352, 0, -40, 0, 1), [(576, 0, -960, 0, 352, 0, -40, 0, 1)]),
+        # t^12 - 1: six cyclotomic factors
+        (
+            (-1,) + (0,) * 11 + (1,),
+            [(-1, 1), (1, 1), (1, -1, 1), (1, 0, 1), (1, 1, 1), (1, 0, -1, 0, 1)],
+        ),
+        # (6t^2 + 5t + 1)(10t^2 - 7t + 1): rational roots need the leading coefficient
+        ((1, -2, -19, 8, 60), [(-1, 2), (-1, 5), (1, 2), (1, 3)]),
+    ],
+)
+def test_factoring_pinned(coeffs, want):
+    p = QPoly(tuple(Fraction(c) for c in coeffs))
+    got = irreducible_factors(p)
+    assert [tuple(int(c) for c in f.coeffs) for f in got] == want
+    assert got == [f for f, _ in sympy_factors(p)]
 
 
 def test_exact_div_raises_on_remainder():

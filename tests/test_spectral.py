@@ -1,6 +1,13 @@
+import gc
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+
+import adesurf
 
 from adesurf.errors import AdesurfError, DegreeDataError, NonReducedCoverError
 from adesurf.lattice import hirzebruch_blowup, p2_blowup
@@ -13,6 +20,8 @@ from adesurf.spectral import (
     fiber_profile,
     sen_delta,
 )
+
+from .oracles import sympy_factors
 
 T = QPoly.x()
 ONE = QPoly.one()
@@ -100,6 +109,102 @@ def test_branch_consistency_profile_vs_disc():
     for t0 in (0, 2, Fraction(1, 2)):
         if disc(t0) != 0:
             assert max(fiber_profile(cover, t0)) == 1
+
+
+def _cover(*coeffs):
+    return CoverPoly(len(coeffs), tuple(QPoly(tuple(Fraction(c) for c in p)) for p in coeffs))
+
+
+# covers u^n + ... as ascending coefficient lists of t, below the monic u^n
+PROBE_COVERS = [
+    ([-1, 0, 0, 0, 0, 1], []),  # u^2 - (t^5 - 1)
+    ([-1, 0, 1], [0, 1], []),  # u^3 + t u + (t^2 - 1)
+    ([1, 0, -10, 0, 1], []),  # u^2 + t^4 - 10 t^2 + 1
+]
+
+
+@pytest.mark.parametrize(
+    "coeffs, points, nonrational",
+    [
+        (PROBE_COVERS[0], (1,), [(1, 1, 1, 1, 1)]),
+        (PROBE_COVERS[1], (), [(27, 0, -54, 4, 27)]),
+        (PROBE_COVERS[2], (), [(1, 0, -10, 0, 1)]),
+    ],
+)
+def test_branch_report_probe_covers(coeffs, points, nonrational):
+    report = branch_report(_cover(*coeffs))
+    assert report.branch_points == tuple(Fraction(t) for t in points)
+    assert [tuple(int(c) for c in f.coeffs) for f in report.nonrational_factors] == nonrational
+    want = sympy_factors(report.discriminant)
+    assert list(report.nonrational_factors) == [f for f, _ in want if f.degree >= 2]
+    assert list(report.branch_multiplicities) == [m for f, m in want if f.degree == 1]
+
+
+def test_branch_report_large_discriminant():
+    # u^5 - (t - 1)(t + 6)(t^2 + 1000000007): the discriminant has degree
+    # 16 and 144-bit coefficients, and what is left of it after its rational
+    # roots, 5^5 (t^2 + 1000000007)^4, has 132-bit ones
+    g = QPoly((-1, 1)) * QPoly((6, 1)) * QPoly((1000000007, 0, 1))
+    report = branch_report(CoverPoly(5, (-g, ZERO, ZERO, ZERO, ZERO)))
+    disc = report.discriminant
+    assert max(abs(c.numerator) for c in disc.coeffs).bit_length() == 144
+    assert report.branch_points == (Fraction(-6), Fraction(1))
+    assert report.branch_multiplicities == (4, 4)
+    assert [f.coeffs for f in report.nonrational_factors] == [(1000000007, 0, 1)]
+    residual = disc.exact_div(QPoly((-1, 1)) ** 4 * QPoly((6, 1)) ** 4)
+    assert max(abs(c.numerator) for c in residual.coeffs).bit_length() == 132
+    assert sympy_factors(disc) == [
+        (QPoly((-1, 1)), 4), (QPoly((6, 1)), 4), (QPoly((1000000007, 0, 1)), 4)
+    ]
+    assert [f for f, _ in sympy_factors(residual)] == list(report.nonrational_factors)
+
+
+def _python_calls(fn):
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    # finalizers of earlier tests' garbage would count too, so collect it
+    # first and keep the collector off while counting
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls
+
+
+@pytest.mark.parametrize("coeffs", PROBE_COVERS)
+def test_branch_report_makes_no_random_choice(coeffs):
+    # a factoring step that drew random numbers would vary the call count
+    cover = _cover(*coeffs)
+    branch_report(cover)
+    first, second = (_python_calls(lambda: branch_report(cover)) for _ in range(2))
+    assert first == second
+
+
+def test_spectral_analyze_independent_of_hash_seed(tmp_path):
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"n": 2, "coeffs": [["1", "0", "-10", "0", "1"], []]}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(adesurf.__file__)))
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "adesurf.cli", "spectral", "analyze", "--cover", str(path)],
+            env=env, capture_output=True, timeout=60, check=True,
+        )
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["nonrational_factors"] == [
+        {"coeffs": ["1/1", "0/1", "-10/1", "0/1", "1/1"]}
+    ]
 
 
 def test_sen_delta_perfect_square_degenerates():
