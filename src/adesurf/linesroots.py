@@ -27,11 +27,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import factorial, isqrt
+from operator import add, sub
 
 from . import _enumkernel
 from ._linalg import Echelon, signature_symmetric
-from .errors import AdesurfError, EnumerationBoundError, OrbitCapExceededError
+from .errors import (
+    AdesurfError,
+    BasisMismatchError,
+    EnumerationBoundError,
+    OrbitCapExceededError,
+)
 from .lattice import (
     KIND_HIRZEBRUCH,
     LatticeClass,
@@ -195,6 +201,8 @@ class RootDatum:
     simple_roots: tuple[LatticeClass, ...]
     cartan: tuple[tuple[int, ...], ...]
     type_label: str
+    # Gram * alpha_i for each simple root: x*alpha_i is a dot product with row i
+    pairing_rows: tuple[tuple[int, ...], ...]
 
     @property
     def rank(self) -> int:
@@ -274,34 +282,55 @@ def _component_label(nodes: list[int], adj: dict[int, set[int]]) -> str:
     return f"U{k}"
 
 
-def _dynkin_label(model: SurfaceModel, simple: list[LatticeClass]) -> str:
-    if not simple:
-        return "A0"
-    n = len(simple)
-    adj = {i: set() for i in range(n)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if model.pair(simple[i], simple[j]) != 0:
-                adj[i].add(j)
-                adj[j].add(i)
-    seen: set[int] = set()
-    labels = []
-    for start in range(n):
-        if start in seen:
+def _adjacency(cartan) -> dict[int, set[int]]:
+    n = len(cartan)
+    return {i: {j for j in range(n) if j != i and cartan[i][j]} for i in range(n)}
+
+
+def _components(nodes, adj: dict[int, set[int]]) -> list[list[int]]:
+    """Connected components of the diagram induced on nodes, each sorted."""
+    left = set(nodes)
+    comps = []
+    for start in sorted(left):
+        if start not in left:
             continue
-        comp = [start]
-        seen.add(start)
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        labels.append(_component_label(sorted(comp), adj))
-    labels.sort()
-    return "x".join(labels)
+        left.discard(start)
+        comp, stack = [start], [start]
+        while stack:
+            for w in adj[stack.pop()] & left:
+                left.discard(w)
+                comp.append(w)
+                stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _dynkin_label(cartan) -> str:
+    if not cartan:
+        return "A0"
+    adj = _adjacency(cartan)
+    return "x".join(sorted(_component_label(c, adj) for c in _components(range(len(cartan)), adj)))
+
+
+_E_WEYL_ORDERS = {6: 51_840, 7: 2_903_040, 8: 696_729_600}
+
+
+def _weyl_order(cartan, nodes) -> int:
+    """Order of the Weyl group generated by the simple reflections on nodes."""
+    adj = _adjacency(cartan)
+    order = 1
+    for comp in _components(nodes, adj):
+        label = _component_label(comp, adj)
+        kind, k = label[0], int(label[1:])
+        if kind == "A":
+            order *= factorial(k + 1)
+        elif kind == "D":
+            order *= 2 ** (k - 1) * factorial(k)
+        elif kind == "E":
+            order *= _E_WEYL_ORDERS[k]
+        else:
+            raise AdesurfError(f"no finite Weyl group for a diagram of type {label}")
+    return order
 
 
 _ORTHOGONALITY_NAMES = ("K", "f", "b")
@@ -333,16 +362,16 @@ def enumerate_roots(
             constraints.append((model.base_class, 0))
     roots = enumerate_classes(model, -2, constraints, bound_margin=bound_margin)
     simple = _simple_roots(model, roots)
-    cartan = tuple(
-        tuple(-model.pair(a, b) for b in simple) for a in simple
-    )
-    label = _dynkin_label(model, simple)
+    gram = model.gram
+    rows = tuple(tuple(sum(g * a for g, a in zip(row, s.coeffs)) for row in gram) for s in simple)
+    cartan = tuple(tuple(-sum(a * r for a, r in zip(s.coeffs, row)) for row in rows) for s in simple)
     return RootDatum(
         model=model,
         roots=tuple(roots),
         simple_roots=tuple(simple),
         cartan=cartan,
-        type_label=label,
+        type_label=_dynkin_label(cartan),
+        pairing_rows=rows,
     )
 
 
@@ -359,27 +388,79 @@ def reflect(root: LatticeClass, cls: LatticeClass) -> LatticeClass:
     return cls + _pair(cls, root) * root
 
 
+def _weights(datum: RootDatum, cls: LatticeClass) -> tuple[int, ...]:
+    basis = datum.model.basis_id
+    if cls.basis_id != basis:
+        raise BasisMismatchError(
+            f"pairing on {basis!r} got classes from {cls.basis_id!r} and {basis!r}"
+        )
+    x = cls.coeffs
+    return tuple(sum(a * b for a, b in zip(x, row)) for row in datum.pairing_rows)
+
+
+def _dominant(datum: RootDatum, cls: LatticeClass) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(weight, coefficients) of the orbit element with every weight entry <= 0.
+
+    The simple reflection s_j sends x to x + w_j alpha_j and w to
+    w - w_j cartan[j]; applying it where w_j is largest, while that is
+    positive, ends after at most as many steps as there are positive roots.
+    """
+    w, x = _weights(datum, cls), cls.coeffs
+    while w and max(w) > 0:
+        wj = max(w)
+        j = w.index(wj)
+        x = tuple(map(add, x, [wj * a for a in datum.simple_roots[j].coeffs]))
+        w = tuple(map(sub, w, [wj * c for c in datum.cartan[j]]))
+    return w, x
+
+
+def _stabiliser_index(datum: RootDatum, dominant_weight: tuple[int, ...]) -> int:
+    """|W| / |W_lambda|; the stabiliser is parabolic on the zero entries."""
+    zeros = [i for i, wi in enumerate(dominant_weight) if wi == 0]
+    return _weyl_order(datum.cartan, range(datum.rank)) // _weyl_order(datum.cartan, zeros)
+
+
+def orbit_size(datum: RootDatum, cls: LatticeClass) -> int:
+    """Size of the Weyl orbit of cls, without enumerating it."""
+    return _stabiliser_index(datum, _dominant(datum, cls)[0])
+
+
 def weyl_orbit(datum: RootDatum, cls: LatticeClass, cap: int = 100_000) -> list[LatticeClass]:
-    """Closure of {cls} under the simple reflections of the datum."""
+    """Closure of {cls} under the simple reflections of the datum, sorted.
+
+    The root lattice is negative definite, so an orbit element is fixed by
+    its weight.  The orbit is enumerated down from its dominant element:
+    s_j is applied only where w_j < 0, and a child is kept only when j is
+    the smallest index with a positive weight entry in it (Snow's rule),
+    which reaches every element exactly once.  The cap is checked against
+    the exact size |W| / |W_lambda| before any enumeration.
+    """
     if cap < 1:
         raise AdesurfError("orbit cap must be at least 1")
-    model = datum.model
-    seen = {cls.coeffs}
-    frontier = [cls]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for alpha in datum.simple_roots:
-                y = x + model.pair(x, alpha) * alpha
-                if y.coeffs not in seen:
-                    seen.add(y.coeffs)
-                    if len(seen) > cap:
-                        raise OrbitCapExceededError(f"orbit exceeded cap {cap}")
-                    nxt.append(y)
-        frontier = nxt
-    return sorted((LatticeClass(c, model.basis_id) for c in seen), key=lambda c: c.coeffs)
+    w, x = _dominant(datum, cls)
+    size = _stabiliser_index(datum, w)
+    if size > cap:
+        raise OrbitCapExceededError(f"orbit of size {size} exceeds cap {cap}")
+    alphas = [a.coeffs for a in datum.simple_roots]
+    found = [x]
+    layer = [(w, x)]
+    while layer:
+        below = []
+        for w, x in layer:
+            for j, wj in enumerate(w):
+                if wj >= 0:
+                    continue
+                w2 = tuple(map(sub, w, [wj * c for c in datum.cartan[j]]))
+                if j and max(w2[:j]) > 0:
+                    continue
+                below.append((w2, tuple(map(add, x, [wj * a for a in alphas[j]]))))
+        found.extend(x for _, x in below)
+        layer = below
+    found.sort()
+    basis = datum.model.basis_id
+    return [LatticeClass(c, basis) for c in found]
 
 
 def weight_of(datum: RootDatum, cls: LatticeClass) -> WeightVector:
     """Pairings of cls against the simple roots, in datum order."""
-    return WeightVector(tuple(datum.model.pair(cls, a) for a in datum.simple_roots))
+    return WeightVector(_weights(datum, cls))

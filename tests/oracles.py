@@ -21,6 +21,11 @@ sparse rows into dense ones, and ``DenseEchelon`` answers
 positive roots that are no sum of two positive roots, found by testing
 every pair.
 
+``weyl_orbit_bfs`` closes a class under the simple reflections by a
+breadth-first search with one global seen-set, pairing through
+``SurfaceModel.pair``; the package's dominant-chamber descent is tested
+against it.
+
 ``backtrack_effective`` decides whether a class is a non-negative integer
 sum of an explicit generator list by a memoised backtracking search over
 generator multiplicities, with a node cap.
@@ -45,7 +50,8 @@ from fractions import Fraction
 from math import isqrt
 
 from adesurf._linalg import signature_symmetric
-from adesurf.errors import AdesurfError, EnumerationBoundError
+from adesurf.errors import AdesurfError, EnumerationBoundError, OrbitCapExceededError
+from adesurf.lattice import LatticeClass
 from adesurf.linesroots import _positivity_functional
 
 
@@ -333,6 +339,27 @@ def pairwise_simple_roots(model, roots):
     ]
     simple.sort(key=height, reverse=True)
     return simple
+
+
+def weyl_orbit_bfs(datum, cls, cap=100_000):
+    """Closure of {cls} under the simple reflections of the datum, sorted."""
+    if cap < 1:
+        raise AdesurfError("orbit cap must be at least 1")
+    model = datum.model
+    seen = {cls.coeffs}
+    frontier = [cls]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for alpha in datum.simple_roots:
+                y = x + model.pair(x, alpha) * alpha
+                if y.coeffs not in seen:
+                    seen.add(y.coeffs)
+                    if len(seen) > cap:
+                        raise OrbitCapExceededError(f"orbit exceeded cap {cap}")
+                    nxt.append(y)
+        frontier = nxt
+    return sorted((LatticeClass(c, model.basis_id) for c in seen), key=lambda c: c.coeffs)
 
 
 def backtrack_effective(model, generators, d, tilt, node_budget=20_000):

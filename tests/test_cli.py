@@ -1,8 +1,14 @@
+import hashlib
 import json
 
 import pytest
 
+from adesurf import _json
 from adesurf.cli import run
+from adesurf.lattice import build_surface
+from adesurf.linesroots import enumerate_roots
+
+from .oracles import weyl_orbit_bfs
 
 
 def run_cli(capsys, argv):
@@ -75,6 +81,38 @@ def test_weights_of_all_lines(capsys):
     # line weights against the E6 simple roots take values in {-1, 0, 1}
     for entry in doc["weights"]:
         assert all(w in (-1, 0, 1) for w in entry["weight"])
+
+
+@pytest.mark.parametrize(
+    "kind, n, orth, cls",
+    [
+        ("hirzebruch", 4, ("K", "f", "b"), [-1, 0, 1, 0, 0, 0]),  # the README example
+        ("p2", 7, ("K",), [0, 0, 0, 0, 0, 0, 0, 1]),  # a line on dP2
+    ],
+)
+def test_orbit_stdout_is_the_oracle_orbit(capsys, kind, n, orth, cls):
+    code, out = run_cli(capsys, ["orbit", "--kind", kind, "--n", str(n), "--class", json.dumps(cls)])
+    model = build_surface(kind, n)
+    orbit = weyl_orbit_bfs(enumerate_roots(model, orth), model.cls(cls))
+    want = {"basis": model.basis_id, "size": len(orbit), "classes": [list(c.coeffs) for c in orbit]}
+    assert (code, out) == (0, _json.dumps(want))
+
+
+def test_orbit_over_cap_is_a_domain_error(capsys):
+    code, out = run_cli(
+        capsys, ["orbit", "--kind", "p2", "--n", "8", "--class", "[1,0,0,0,0,0,0,0,0]", "--cap", "100"]
+    )
+    error = json.loads(out)["error"]
+    assert (code, error["type"]) == (1, "OrbitCapExceededError")
+    assert "17280" in error["message"]
+
+
+def test_weights_of_all_lines_stdout_is_pinned(capsys):
+    code, out = run_cli(capsys, ["weights", "--kind", "p2", "--n", "6", "--lines"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "01496450f0d8eef5c43b1a4681d1b934c7f99bcf7ee71ce6f6d1abbc7d707a68"
+    )
 
 
 def test_suite_fast_path(capsys):

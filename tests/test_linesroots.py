@@ -1,16 +1,30 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adesurf import _enumkernel
 from adesurf._enumkernel import enumerate_diag
-from adesurf.errors import AdesurfError, EnumerationBoundError, OrbitCapExceededError
-from adesurf.lattice import change_basis, hirzebruch_blowup, p2_blowup, p2_presentation
+from adesurf.errors import (
+    AdesurfError,
+    BasisMismatchError,
+    EnumerationBoundError,
+    OrbitCapExceededError,
+)
+from adesurf.lattice import (
+    build_surface,
+    change_basis,
+    hirzebruch_blowup,
+    p2_blowup,
+    p2_presentation,
+)
 from adesurf.linesroots import (
     coefficient_bounds,
     enumerate_classes,
     enumerate_lines,
     enumerate_roots,
+    orbit_size,
     reflect,
     weight_of,
     weyl_orbit,
@@ -23,6 +37,7 @@ from .oracles import (
     diag_rows_for_class,
     literal_box_scan,
     pairwise_simple_roots,
+    weyl_orbit_bfs,
 )
 
 
@@ -206,8 +221,9 @@ def test_reflection_preserves_pairing_on_basis():
 def test_orbit_of_l1_minus_l0(n):
     m = hirzebruch_blowup(n)
     datum = enumerate_roots(m, ("K", "f", "b"))
-    orbit = weyl_orbit(datum, m.exceptional(1) - m.base_class)
-    assert len(orbit) == n
+    start = m.exceptional(1) - m.base_class
+    orbit = weyl_orbit(datum, start)
+    assert len(orbit) == orbit_size(datum, start) == n
     want = sorted((m.exceptional(i) - m.base_class).coeffs for i in range(1, n + 1))
     assert [c.coeffs for c in orbit] == want
 
@@ -262,6 +278,127 @@ def test_dn_weights_negate():
         w_plus = weight_of(datum, m.exceptional(i)).entries
         w_minus = weight_of(datum, m.fiber_class - m.exceptional(i)).entries
         assert tuple(-x for x in w_plus) == w_minus
+
+
+def _coeffs(classes):
+    return [c.coeffs for c in classes]
+
+
+# The breadth-first oracle costs about 0.1 ms per class, and a random class
+# on E7 can have 362 880 of them, so random starts stay on the models below,
+# with coefficients in [-2, 2]; p2(7) and p2(8) get fixed starts only.  The
+# number of examples per model shrinks with its mean orbit size (E6: about
+# 2 800 classes, D7: about 8 600 and at most 40 320).
+_ORBIT_MODELS = [
+    ("p2", 3, ("K",), 20),
+    ("p2", 4, ("K",), 20),
+    ("p2", 5, ("K",), 8),
+    ("p2", 6, ("K",), 3),
+    *[("hirzebruch", n, ("K", "f", "b"), 20) for n in range(2, 6)],
+    ("hirzebruch", 6, ("K", "f", "b"), 15),
+    ("hirzebruch", 7, ("K", "f", "b"), 8),
+    *[("hirzebruch", n, ("K", "f"), 20) for n in range(2, 5)],
+    ("hirzebruch", 5, ("K", "f"), 8),
+    ("hirzebruch", 6, ("K", "f"), 3),
+    ("hirzebruch", 7, ("K", "f"), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, n, orth, examples",
+    [pytest.param(*case, id=f"{case[0]}{case[1]}-{''.join(case[2])}") for case in _ORBIT_MODELS],
+)
+def test_orbit_matches_bfs_oracle(kind, n, orth, examples):
+    datum = enumerate_roots(build_surface(kind, n), orth)
+    rank = datum.model.rank
+
+    @settings(max_examples=examples, deadline=None)
+    @given(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank))
+    def check(coeffs):
+        cls = datum.model.cls(coeffs)
+        orbit = weyl_orbit(datum, cls, cap=10**6)
+        assert _coeffs(orbit) == _coeffs(weyl_orbit_bfs(datum, cls, cap=10**6))
+        assert len(orbit) == orbit_size(datum, cls)
+
+    check()
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_e7_e8_orbits_match_bfs_oracle(n):
+    m = p2_blowup(n)
+    datum = enumerate_roots(m, ("K",))
+    lines = enumerate_lines(m)
+    # the lines form one orbit, so the oracle runs once and every line starts
+    want = _coeffs(weyl_orbit_bfs(datum, lines[0]))
+    assert want == _coeffs(lines)
+    for line in lines:
+        assert _coeffs(weyl_orbit(datum, line)) == want
+        assert orbit_size(datum, line) == len(want)
+    starts = [datum.simple_roots[-1]] + ([m.basis_class("h")] if n == 7 else [])
+    for cls in starts:
+        orbit = weyl_orbit(datum, cls)
+        assert _coeffs(orbit) == _coeffs(weyl_orbit_bfs(datum, cls))
+        assert len(orbit) == orbit_size(datum, cls)
+    assert _coeffs(weyl_orbit(datum, datum.simple_roots[-1])) == _coeffs(datum.roots)
+    if n == 7:
+        assert orbit_size(datum, m.basis_class("h")) == 576
+
+
+@pytest.mark.parametrize("n, size", [(6, 27), (7, 56), (8, 240)])
+def test_line_orbit_sizes(n, size):
+    m = p2_blowup(n)
+    datum = enumerate_roots(m, ("K",))
+    line = enumerate_lines(m)[-1]
+    assert orbit_size(datum, line) == len(weyl_orbit(datum, line)) == size
+
+
+def test_orbit_of_h_on_dp8():
+    m = p2_blowup(8)
+    datum = enumerate_roots(m, ("K",))
+    h = m.basis_class("h")
+    orbit = weyl_orbit(datum, h)
+    assert orbit_size(datum, h) == len(orbit) == 17_280
+    assert all(m.pair(x, x) == 1 and m.pair(x, m.K) == -3 for x in orbit)
+    # independently: the classes with x*x = 1 and x*K = -3 are the orbit of h
+    # and the 240 classes -3K + 2 alpha, one for each root alpha
+    every = set(_coeffs(enumerate_classes(m, 1, [(m.K, -3)])))
+    assert len(every) == 17_520
+    rest = {(-3 * m.K + 2 * alpha).coeffs for alpha in datum.roots}
+    assert every - set(_coeffs(orbit)) == rest
+
+
+def test_orbit_cap_is_checked_before_enumeration():
+    m = p2_blowup(8)
+    datum = enumerate_roots(m, ("K",))
+    h = m.basis_class("h")
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrbitCapExceededError, match="17280"):
+            weyl_orbit(datum, h, cap=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000  # the orbit itself takes megabytes
+    with pytest.raises(OrbitCapExceededError, match="17280"):
+        weyl_orbit(datum, h, cap=17_279)
+    assert len(weyl_orbit(datum, h, cap=17_280)) == 17_280
+
+
+def test_orbit_and_weights_refuse_another_basis():
+    datum = enumerate_roots(p2_blowup(6), ("K",))
+    other = p2_blowup(5).basis_class("h")
+    with pytest.raises(BasisMismatchError):
+        weyl_orbit(datum, other)
+    with pytest.raises(BasisMismatchError):
+        weight_of(datum, other)
+
+
+def test_weights_match_pairings():
+    m = p2_blowup(8)
+    datum = enumerate_roots(m, ("K",))
+    for x in enumerate_lines(m)[::7] + [m.K, m.basis_class("h")]:
+        want = tuple(m.pair(x, a) for a in datum.simple_roots)
+        assert weight_of(datum, x).entries == want
 
 
 def test_unbounded_enumeration_refused():
