@@ -89,6 +89,7 @@ def test_weights_of_all_lines(capsys):
         ("hirzebruch", 4, ("K", "f", "b"), [-1, 0, 1, 0, 0, 0]),  # the README example
         ("p2", 7, ("K",), [0, 0, 0, 0, 0, 0, 0, 1]),  # a line on dP2
     ],
+    ids=["readme", "dp2-line"],
 )
 def test_orbit_stdout_is_the_oracle_orbit(capsys, kind, n, orth, cls):
     code, out = run_cli(capsys, ["orbit", "--kind", kind, "--n", str(n), "--class", json.dumps(cls)])

@@ -334,14 +334,13 @@ def test_e7_e8_orbits_match_bfs_oracle(n):
     for line in lines:
         assert _coeffs(weyl_orbit(datum, line)) == want
         assert orbit_size(datum, line) == len(want)
-    starts = [datum.simple_roots[-1]] + ([m.basis_class("h")] if n == 7 else [])
-    for cls in starts:
-        orbit = weyl_orbit(datum, cls)
-        assert _coeffs(orbit) == _coeffs(weyl_orbit_bfs(datum, cls))
-        assert len(orbit) == orbit_size(datum, cls)
-    assert _coeffs(weyl_orbit(datum, datum.simple_roots[-1])) == _coeffs(datum.roots)
-    if n == 7:
-        assert orbit_size(datum, m.basis_class("h")) == 576
+    root = datum.simple_roots[-1]
+    starts = [(root, len(datum.roots))] + ([(m.basis_class("h"), 576)] if n == 7 else [])
+    for cls, size in starts:
+        orbit = _coeffs(weyl_orbit(datum, cls))
+        assert orbit == _coeffs(weyl_orbit_bfs(datum, cls))
+        assert len(orbit) == orbit_size(datum, cls) == size
+    assert _coeffs(weyl_orbit(datum, root)) == _coeffs(datum.roots)
 
 
 @pytest.mark.parametrize("n, size", [(6, 27), (7, 56), (8, 240)])
@@ -364,6 +363,7 @@ def test_orbit_of_h_on_dp8():
     every = set(_coeffs(enumerate_classes(m, 1, [(m.K, -3)])))
     assert len(every) == 17_520
     rest = {(-3 * m.K + 2 * alpha).coeffs for alpha in datum.roots}
+    assert set(_coeffs(orbit)) <= every
     assert every - set(_coeffs(orbit)) == rest
 
 
