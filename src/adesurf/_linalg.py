@@ -8,9 +8,10 @@ divides out the row's content, so no rational number is built while
 reducing.  The graded pieces of ``localmodel`` produce rows that are a
 monomial times a generator, a handful of nonzeros out of tens or hundreds
 of columns, so the sparse form does work proportional to those nonzeros.
-Those rows arrive as ints, because the ring arithmetic runs on ints, so
-``integer_row`` only drops their zeros.  On this path only ``nullspace``
-builds Fractions, once, when it divides the reduced rows by their pivots.
+``Echelon.add`` is the one place where such a row becomes integral; the
+ring arithmetic runs on ints, so for the built-in rings ``integer_row``
+only drops zeros.  On this path only ``nullspace`` builds Fractions, once,
+when it divides the reduced rows by their pivots.
 
 ``linesroots.coefficient_bounds`` uses the same echelon to drop dependent
 constraints, to detect inconsistent targets and to invert a Gram matrix

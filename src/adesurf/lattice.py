@@ -50,9 +50,6 @@ class LatticeClass:
     coeffs: tuple[int, ...]
     basis_id: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-
     def _check(self, other: "LatticeClass") -> None:
         if self.basis_id != other.basis_id:
             raise BasisMismatchError(

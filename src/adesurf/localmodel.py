@@ -9,9 +9,11 @@ finite-dimensional Q-vector space with the normal-form monomials as basis.
 Coefficients are Python ints wherever the input is integral, as in all
 four built-in rings; a Fraction appears only where a relation has a
 rational coefficient.  Each monomial's normal form is computed once per
-ring, so reducing a product costs one cache lookup per term.  The
-resolution-chart maps send x, y, z to twice their images (see the comment
-above them), so they stay integral too.
+ring, so reducing a product costs one cache lookup per term.  Sums go
+through ``_accumulate``, so a term dict never stores a zero, and products
+through ``_product``.  The resolution charts are one relation-free ring, a
+chart map is ``map_to`` into it, and it sends x, y, z to twice their images
+(see the comment above them), so chart coefficients stay integral too.
 Membership, generation, freeness and minimal-generator questions are all
 answered degree by degree: each element becomes a sparse integer row over
 the normal-form monomials, and ``_linalg.Echelon`` reduces those rows
@@ -60,6 +62,31 @@ def _exact(c) -> Coeff:
         return int(c)
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def _accumulate(out: Terms, terms: Terms, scale: Coeff = 1) -> Terms:
+    """Add `scale` times `terms` into `out` in place, dropping coefficients that become 0."""
+    for m, c in terms.items():
+        new = out.get(m, 0) + scale * c
+        if new:
+            out[m] = new
+        else:
+            out.pop(m, None)
+    return out
+
+
+def _product(a: Terms, b: Terms) -> Terms:
+    """The product of two term dicts multiplied out, without reduction.
+
+    A coefficient that cancels is kept as 0; ``_accumulate`` and
+    ``TruncRing.reduce_terms`` drop it when the product is summed in.
+    """
+    out: Terms = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mon = tuple(map(add, m1, m2))
+            out[mon] = out.get(mon, 0) + c1 * c2
+    return out
 
 
 @dataclass(frozen=True)
@@ -210,12 +237,7 @@ class TruncRing:
                 continue
             out: Terms = {}
             for m2, c2 in step:
-                for m3, c3 in cache[m2].items():
-                    new = out.get(m3, 0) + c2 * c3
-                    if new:
-                        out[m3] = new
-                    else:
-                        del out[m3]
+                _accumulate(out, cache[m2], c2)
             cache[m] = out
             stack.pop()
         return cache[mon]
@@ -232,15 +254,8 @@ class TruncRing:
         if rng is None:
             cache = self._normal_forms
             for mon, coeff in terms.items():
-                if not coeff:
-                    continue
-                nf = cache.get(mon) or self.normal_form(mon)
-                for m, c in nf.items():
-                    new = out.get(m, 0) + coeff * c
-                    if new:
-                        out[m] = new
-                    else:
-                        del out[m]
+                if coeff:
+                    _accumulate(out, cache.get(mon) or self.normal_form(mon), coeff)
             return out
         work = list(terms.items())
         while work:
@@ -249,11 +264,7 @@ class TruncRing:
                 continue
             step = self._rewrite(mon, rng)
             if step is None:
-                new = out.get(mon, 0) + coeff
-                if new:
-                    out[mon] = new
-                else:
-                    out.pop(mon, None)
+                _accumulate(out, {mon: coeff})
                 continue
             work.extend((m, coeff * c) for m, c in step)
         return out
@@ -317,14 +328,7 @@ class RingElement:
         return self.ring.const(other)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            new = out.get(m, 0) + c
-            if new:
-                out[m] = new
-            else:
-                out.pop(m, None)
+        out = _accumulate(dict(self.terms), self._coerce(other).terms)
         return RingElement(self.ring, out, reduced=True)
 
     __radd__ = __add__
@@ -346,13 +350,7 @@ class RingElement:
             return RingElement(
                 self.ring, {m: c * v for m, v in self.terms.items()}, reduced=True
             )
-        other = self._coerce(other)
-        prod: Terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mon = tuple(map(add, m1, m2))
-                prod[mon] = prod.get(mon, 0) + c1 * c2
-        return RingElement(self.ring, prod)
+        return RingElement(self.ring, _product(self.terms, self._coerce(other).terms))
 
     __rmul__ = __mul__
 
@@ -396,19 +394,33 @@ class RingElement:
         return degs.pop()
 
     def map_to(self, target: TruncRing, images: dict[str, "RingElement"]) -> "RingElement":
-        """Substitution homomorphism sending each variable to its image."""
-        out = target.zero()
-        powers: dict[tuple[int, int], RingElement] = {}
+        """Substitution homomorphism sending each variable to its image.
+
+        The terms are multiplied out into one dict and reduced once at the
+        end; into a ring without relations every monomial is already normal.
+        """
+        one: Terms = {(0,) * target.nvars: 1}
+        powers: dict[int, list[Terms]] = {}  # variable -> [image^0, image^1, ...]
+        out: Terms = {}
         for mon, coeff in self.terms.items():
-            term = target.const(coeff)
+            term = one
             for i, e in enumerate(mon):
-                if e:
-                    p = powers.get((i, e))
-                    if p is None:
-                        p = powers[(i, e)] = images[self.ring.var_names[i]] ** e
-                    term = term * p
-            out = out + term
-        return out
+                if not e:
+                    continue
+                pw = powers.get(i)
+                if pw is None:
+                    name = self.ring.var_names[i]
+                    image = images.get(name)
+                    if image is None:
+                        raise AdesurfError(f"map undefined for variable {name!r}")
+                    if image.ring is not target:
+                        raise AdesurfError("elements from different rings")
+                    pw = powers[i] = [one, image.terms]
+                while len(pw) <= e:
+                    pw.append(_product(pw[-1], pw[1]))
+                term = pw[e] if term is one else _product(term, pw[e])
+            _accumulate(out, term, coeff)
+        return RingElement(target, out, reduced=not target.relations)
 
     def __repr__(self):
         if not self.terms:
@@ -455,8 +467,7 @@ class GradedModule:
             for mon in self.ring.subring_monomials(self.coeff_vars, rem):
                 if skip_units and all(e == 0 for e in mon):
                     continue
-                shifted = {tuple(map(add, mon, m)): c for m, c in g.terms.items()}
-                out.append(RingElement(self.ring, shifted))
+                out.append(RingElement(self.ring, _product({mon: 1}, g.terms)))
         return out
 
 
@@ -469,16 +480,15 @@ def _columns(index: dict[Monomial, int], el: RingElement):
         yield col, coeff
 
 
-def _vectors(ring: TruncRing, elements: list[RingElement], d: int) -> list[dict[int, int]]:
-    """Sparse integer coordinate rows over ``ring.basis(d)``, one per element.
+def _vectors(ring: TruncRing, elements: list[RingElement], d: int) -> list[dict[int, Coeff]]:
+    """Sparse coordinate rows over ``ring.basis(d)``, one per element.
 
-    A row with fractional coefficients is scaled by the lcm of their
-    denominators.  That keeps every span, so these rows answer rank and
-    echelon questions; relations among the elements come from
-    ``_relation_rows``, which does not scale.
+    The rows are not scaled here: ``Echelon.add`` makes each row integral
+    when it reduces it.  Relations among the elements come from
+    ``_relations``.
     """
     index = {m: i for i, m in enumerate(ring.basis(d))}
-    return [integer_row(dict(_columns(index, el))) for el in elements]
+    return [dict(_columns(index, el)) for el in elements]
 
 
 def _relation_rows(ring: TruncRing, elements: list[RingElement], d: int) -> list[dict[int, Coeff]]:
@@ -496,12 +506,22 @@ def _relation_rows(ring: TruncRing, elements: list[RingElement], d: int) -> list
     return rows
 
 
+def _relations(ring: TruncRing, elements: list[RingElement], d: int) -> list[dict[int, int]]:
+    """A basis of the linear relations among the elements, each scaled to an integer row."""
+    null = nullspace(_relation_rows(ring, elements, d), len(elements))
+    return [integer_row(combo) for combo in null]
+
+
+def _combination(ring: TruncRing, combo: dict[int, Coeff], elements: list[RingElement]) -> RingElement:
+    """The sum of c * elements[j] over the entries (j, c) of `combo`."""
+    out: Terms = {}
+    for j, c in combo.items():
+        _accumulate(out, elements[j].terms, c)
+    return RingElement(ring, out, reduced=True)
+
+
 def module_dim(module: GradedModule, d: int) -> int:
     return rank(_vectors(module.ring, module.spanning_elements(d), d))
-
-
-def graded_dim(ring: TruncRing, d: int) -> int:
-    return ring.graded_dim(d)
 
 
 @dataclass(frozen=True)
@@ -646,7 +666,9 @@ def central_fiber_ring(max_degree: int = 8) -> TruncRing:
 # Chart A is L1 = 1 with coordinates (w, L2) where x+y = w, z = w L2,
 # x-y = -w L2^2; chart B is L2 = 1 with coordinates (u, L1) where
 # x-y = u, z = -u L1, x+y = -u L1^2.  The exceptional curve C is w = 0 in
-# chart A, u = 0 in chart B, glued along L1 = 1/L2.
+# chart A, u = 0 in chart B, glued along L1 = 1/L2.  Both charts map into
+# one relation-free ring in (base, lambda): (w, L2) on chart A, (u, L1) on
+# chart B.
 #
 # The chart maps send x, y, z to twice their images, so every coefficient
 # stays an integer: a form of degree d maps to 2^d times its image.  No
@@ -656,77 +678,29 @@ def central_fiber_ring(max_degree: int = 8) -> TruncRing:
 # holds for the doubled images exactly when it holds for the true ones,
 # and a relation that maps to zero still maps to zero.
 
-ChartPoly = dict[tuple[int, int], Coeff]  # (base exponent, lambda exponent)
+_CHART_RING = TruncRing([("base", 1), ("lambda", 1)], (), max_degree=0)
+ChartPoly = Terms  # (base exponent, lambda exponent) -> coefficient
 
 
-def _cp_add(a: ChartPoly, b: ChartPoly) -> ChartPoly:
-    out = dict(a)
-    for k, v in b.items():
-        new = out.get(k, 0) + v
-        if new:
-            out[k] = new
-        else:
-            out.pop(k, None)
-    return out
+def _chart_images(sign: int) -> dict[str, RingElement]:
+    """Images of 2x, 2y, 2z; chart B is chart A with y and z negated."""
+    base, lam = _CHART_RING.var("base"), _CHART_RING.var("lambda")
+    return {
+        "x": base - base * lam**2,           # w - w L2^2 on A, u - u L1^2 on B
+        "y": sign * (base + base * lam**2),  # w + w L2^2 on A, -(u + u L1^2) on B
+        "z": sign * 2 * base * lam,          # 2 w L2 on A, -2 u L1 on B
+    }
 
 
-def _cp_mul(a: ChartPoly, b: ChartPoly) -> ChartPoly:
-    out: ChartPoly = {}
-    for (i, j), c in a.items():
-        for (k, l), d in b.items():
-            key = (i + k, j + l)
-            new = out.get(key, 0) + c * d
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-    return out
+_CHART_IMAGES = {"A": _chart_images(1), "B": _chart_images(-1)}
 
 
-def _cp_pow(a: ChartPoly, e: int) -> ChartPoly:
-    out: ChartPoly = {(0, 0): 1}
-    for _ in range(e):
-        out = _cp_mul(out, a)
-    return out
-
-
-# images of 2x, 2y, 2z in each chart as (base, lambda) polynomials
-_CHART_A_IMAGES = {
-    "x": {(1, 0): 1, (1, 2): -1},   # 2x = w - w L2^2
-    "y": {(1, 0): 1, (1, 2): 1},    # 2y = w + w L2^2
-    "z": {(1, 1): 2},               # 2z = 2 w L2
-}
-_CHART_B_IMAGES = {
-    "x": {(1, 0): 1, (1, 2): -1},   # 2x = u - u L1^2
-    "y": {(1, 0): -1, (1, 2): -1},  # 2y = -(u + u L1^2)
-    "z": {(1, 1): -2},              # 2z = -2 u L1
-}
-
-
-def to_chart(element: RingElement, chart: str) -> ChartPoly:
+def to_chart(element: RingElement, chart: str) -> RingElement:
     """Image of a polynomial in x, y, z on a resolution chart, its degree-d part times 2^d."""
-    images = _CHART_A_IMAGES if chart == "A" else _CHART_B_IMAGES
-    out: ChartPoly = {}
-    names = element.ring.var_names
-    powers: dict[tuple[str, int], ChartPoly] = {}
-    for mon, coeff in element.terms.items():
-        term: ChartPoly = {(0, 0): coeff}
-        for i, e in enumerate(mon):
-            if not e:
-                continue
-            name = names[i]
-            if name not in images:
-                raise AdesurfError(f"chart map undefined for variable {name!r}")
-            p = powers.get((name, e))
-            if p is None:
-                p = powers[(name, e)] = _cp_pow(images[name], e)
-            term = _cp_mul(term, p)
-        out = _cp_add(out, term)
-    return out
-
-
-def _lambda_shift(p: ChartPoly, k: int) -> ChartPoly:
-    return {(i, j + k): c for (i, j), c in p.items()}
+    images = _CHART_IMAGES.get(chart)
+    if images is None:
+        raise AdesurfError(f"unknown resolution chart {chart!r}; expected 'A' or 'B'")
+    return element.map_to(_CHART_RING, images)
 
 
 def _single_term(p: ChartPoly) -> tuple[int, int, Coeff]:
@@ -761,10 +735,7 @@ def pulled_back_ideal_generator(gens_downstairs, chart: str) -> ChartPoly:
     that include a unit; the three branch-locus ideals all satisfy this
     and anything else is refused.
     """
-    images = [to_chart(g, chart) for g in gens_downstairs]
-    monos = []
-    for img in images:
-        monos.append(_single_term(img))
+    monos = [_single_term(to_chart(g, chart).terms) for g in gens_downstairs]
     gi = min(i for i, _, _ in monos)
     gj = min(j for _, j, _ in monos)
     quotients = [(i - gi, j - gj) for i, j, _ in monos]
@@ -832,15 +803,11 @@ def _kernel_syzygy_checks(maxdeg: int, report: ExtensionChainReport) -> None:
         ker_dim = f2_dim - img_dim
         report.record("dimension_additivity", f2_dim == img_dim + ker_dim, d)
 
-        # explicit kernel: nullspace combinations of the spanning set, each
-        # scaled to integers (no check below changes under a positive scale)
-        null = nullspace(_relation_rows(cone, imaged, d), len(imaged))
-        # remove combinations that are zero already in F_2 (span redundancy)
+        # explicit kernel: relations among the images as combinations of the
+        # spanning set, less those already zero in F_2 (span redundancy)
         kernel_elements = []
-        for combo in null:
-            el = fiber.zero()
-            for j, c in integer_row(combo).items():
-                el = el + c * span[j]
+        for combo in _relations(cone, imaged, d):
+            el = _combination(fiber, combo, span)
             if not el.is_zero():
                 kernel_elements.append(el)
         kvecs = _vectors(fiber, kernel_elements, d)
@@ -856,33 +823,28 @@ def _kernel_syzygy_checks(maxdeg: int, report: ExtensionChainReport) -> None:
         # syzygies of (z, x - y) downstairs match the kernel and are
         # proportional to (L2, L1) on the charts
         if d >= 1:
-            mons = cone.subring_monomials(cone_sub, d - 1)
-            cols = []
-            for m in mons:
-                cols.append(cz * RingElement(cone, {m: 1}, reduced=True))
-            for m in mons:
-                cols.append((cx - cy) * RingElement(cone, {m: 1}, reduced=True))
-            syz = nullspace(_relation_rows(cone, cols, d), len(cols))
+            # a relation sum h_j z m_j + g_j (x - y) m_j gives the pair (h, g)
+            mons = [
+                RingElement(cone, {m: 1}, reduced=True)
+                for m in cone.subring_monomials(cone_sub, d - 1)
+            ]
+            pad = [cone.zero()] * len(mons)
+            cols = [cz * m for m in mons] + [(cx - cy) * m for m in mons]
             syz_pairs = []
-            for combo in syz:
-                h = cone.zero()
-                g = cone.zero()
-                for idx, c in integer_row(combo).items():
-                    mono = RingElement(cone, {mons[idx % len(mons)]: 1}, reduced=True)
-                    if idx < len(mons):
-                        h = h + c * mono
-                    else:
-                        g = g + c * mono
+            for combo in _relations(cone, cols, d):
+                h = _combination(cone, combo, mons + pad)
+                g = _combination(cone, combo, pad + mons)
                 if not (h.is_zero() and g.is_zero()):
                     syz_pairs.append((h, g))
             report.record("syzygy_count_matches_kernel", len(syz_pairs) == ker_dim, d)
             proportional = True
+            lam = _CHART_RING.var("lambda")
             for h, g in syz_pairs:
                 ha, ga = to_chart(h, "A"), to_chart(g, "A")
                 hb, gb = to_chart(h, "B"), to_chart(g, "B")
                 # upstairs factorization (f2, f3) = (L2 q, L1 q): chart A has
                 # L1 = 1 so h = L2 * g there; chart B has L2 = 1 so g = L1 * h
-                if ha != _lambda_shift(ga, 1) or gb != _lambda_shift(hb, 1):
+                if ha != lam * ga or gb != lam * hb:
                     proportional = False
             report.record("kernel_principal_on_charts", proportional, d)
 

@@ -123,12 +123,6 @@ class QPoly:
                 base = base * base
         return out
 
-    def shift(self, k: int) -> "QPoly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return QPoly((Fraction(0),) * k + self.coeffs)
-
     def divmod(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")

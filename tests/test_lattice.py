@@ -141,3 +141,30 @@ def test_arbitrary_precision_coefficients():
     from adesurf.divisors import euler_char
 
     assert euler_char(m, a) == euler_char(m, m.K - a)  # no overflow anywhere
+
+
+def _int_coeffs(classes):
+    return all(type(c) is int for cls in classes for c in cls.coeffs)
+
+
+def test_class_coefficients_are_ints_without_conversion():
+    # LatticeClass stores what it is given; every producer must hand it ints
+    from adesurf.divisors import EFFECTIVE, is_effective
+    from adesurf.linesroots import enumerate_classes, enumerate_lines, enumerate_roots, weyl_orbit
+
+    p8 = p2_blowup(8)
+    datum = enumerate_roots(p8, ("K",))
+    assert _int_coeffs(weyl_orbit(datum, p8.basis_class("h")))
+    assert _int_coeffs(weyl_orbit(datum, p8.exceptional(1)))
+    assert _int_coeffs(datum.roots + datum.simple_roots)
+    hz = hirzebruch_blowup(4)
+    assert _int_coeffs(enumerate_lines(hz) + enumerate_classes(hz, 0, [(hz.K, -2)]))
+    assert _int_coeffs(enumerate_classes(p8, 1, [(p8.K, -3)], bound_margin=1))
+    a, b = p8.K, p8.exceptional(2)
+    assert _int_coeffs([a + b, a - b, -a, 3 * a, a * -2, p8.zero(), p8.cls(["2", 1.0] + [0] * 7)])
+    c = p2_presentation(hz)
+    assert _int_coeffs([change_basis(hz, c, hz.K), change_basis(c, hz, c.basis_class("h"))])
+    res = is_effective(hz, None, -hz.K + hz.fiber_class)
+    assert res.status == EFFECTIVE
+    assert _int_coeffs(cls for cls, _ in res.certificate)
+    assert all(type(m) is int for _, m in res.certificate)

@@ -178,8 +178,32 @@ def test_chart_maps_kill_surface_relation():
     b = base_ring(4)
     x, y, z = (b.var(v) for v in "xyz")
     rel = x * x - y * y + z * z
-    assert to_chart(rel, "A") == {}
-    assert to_chart(rel, "B") == {}
+    assert to_chart(rel, "A").terms == {}
+    assert to_chart(rel, "B").terms == {}
+
+
+def test_chart_map_refuses_unknown_chart_and_variable():
+    b = base_ring(4)
+    x, y = b.var("x"), b.var("y")
+    with pytest.raises(AdesurfError, match="'C'"):
+        to_chart(x - y, "C")
+    up = conifold_ring(4)
+    with pytest.raises(AdesurfError, match="'s'"):
+        to_chart(up.var("x") + up.var("s"), "A")
+    assert to_chart(up.var("x") - up.var("y"), "A").terms == {(1, 2): -2}
+
+
+def test_map_to_missing_image_names_the_variable():
+    fiber, cone = central_fiber_ring(4), cone_ring(4)
+    images = {v: cone.var(v) for v in "xyz"}
+    with pytest.raises(AdesurfError, match="'s'"):
+        (fiber.var("x") * fiber.var("s")).map_to(cone, images)
+    images["s"] = base_ring(4).zero()
+    with pytest.raises(AdesurfError, match="different rings"):
+        fiber.var("s").map_to(cone, images)
+    # a variable that no term uses needs no image
+    del images["s"]
+    assert (fiber.var("x") ** 2).map_to(cone, images) == cone.var("y") ** 2 - cone.var("z") ** 2
 
 
 def test_chart_degrees():

@@ -12,6 +12,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adesurf import localmodel as lm
 
@@ -85,7 +87,7 @@ def test_ring_arithmetic_matches_fraction_oracle(name):
                 charted.add(key)
                 for chart in "AB":
                     true = fraction_to_chart(terms, ring.var_names, chart)
-                    assert lm.to_chart(el, chart) == {k: 2**d * v for k, v in true.items()}
+                    assert lm.to_chart(el, chart).terms == {k: 2**d * v for k, v in true.items()}
     assert charted
 
 
@@ -135,7 +137,7 @@ def test_integer_rings_build_no_fraction(monkeypatch):
     assert lm.check_generate(up, ideal, (x - y, z + s), xyz, 8).ok
     assert lm.check_free(up, (x - y, z + s), xyz, 8).ok
     assert lm.min_generator_profile(up, (x - y, z - s), 8) == [0, 2] + [0] * 7
-    assert lm.to_chart(x - y, "A") == {(1, 2): -2}
+    assert lm.to_chart(x - y, "A").terms == {(1, 2): -2}
 
     cone = lm.cone_ring(8)
     x, y, z = (cone.var(v) for v in "xyz")
@@ -147,3 +149,72 @@ def test_integer_rings_build_no_fraction(monkeypatch):
         lm.to_chart(g, "A")
         lm.to_chart(g, "B")
     assert built == []
+
+
+
+def _elements(ring, names=None, max_exp=3):
+    """Random elements of `ring` supported on the named variables (all by default)."""
+    names = names or ring.var_names
+    exps = [st.integers(0, max_exp) if v in names else st.just(0) for v in ring.var_names]
+    coeffs = st.integers(-3, 3) | st.fractions(-2, 2, max_denominator=3)
+    return st.dictionaries(st.tuples(*exps), coeffs, max_size=4).map(
+        lambda terms: lm.RingElement(ring, terms)
+    )
+
+
+def _stores_no_zero(el):
+    return all(c != 0 for c in el.terms.values())
+
+
+def _naive_map(el, target, images):
+    """map_to by ring operations on whole elements: sum of c * prod image^e."""
+    out = target.zero()
+    for mon, coeff in el.terms.items():
+        term = target.const(coeff)
+        for name, e in zip(el.ring.var_names, mon):
+            if e:
+                term = term * images[name] ** e
+        out = out + term
+    return out
+
+
+# built once: a strategy built inside a test body dominates its run time
+_RINGS8 = {name: build(8) for name, build in RINGS.items()}
+_ELEMENTS = {name: _elements(ring) for name, ring in _RINGS8.items()}
+_FIBER, _CONE, _BASE = lm.central_fiber_ring(8), _RINGS8["cone"], _RINGS8["base"]
+_FIBER_ELEMENTS = _elements(_FIBER, max_exp=2)
+_XYZ_ELEMENTS = {ring: _elements(ring, "xyz") for ring in (_CONE, _BASE)}
+_LINEAR_FORMS = st.fixed_dictionaries({v: _elements(_CONE, "xyz", max_exp=1) for v in "xyzs"})
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(RINGS)), data=st.data())
+def test_arithmetic_stores_no_zero_and_stays_reduced(name, data):
+    ring = _RINGS8[name]
+    a, b = data.draw(_ELEMENTS[name]), data.draw(_ELEMENTS[name])
+    k = data.draw(st.integers(-2, 2))
+    results = [a + b, a - b, a - a, a * b, a * k, k - a, a ** data.draw(st.integers(0, 3))]
+    for el in results:
+        assert _stores_no_zero(el)
+        assert ring.reduce_terms(el.terms) == el.terms
+
+
+@settings(max_examples=120, deadline=None)
+@given(f=_FIBER_ELEMENTS, linear=_LINEAR_FORMS, data=st.data())
+def test_maps_store_no_zero(f, linear, data):
+    to_cone = {"x": _CONE.var("x"), "y": _CONE.var("y"), "z": _CONE.var("z"), "s": _CONE.zero()}
+    for images in (to_cone, linear):
+        img = f.map_to(_CONE, images)
+        assert _stores_no_zero(img)
+        assert _CONE.reduce_terms(img.terms) == img.terms
+        assert img == _naive_map(f, _CONE, images)
+    # the chart maps are homomorphisms on the cone, where the images satisfy
+    # the relation, and on the base ring; their results are not reduced again
+    for ring, elements in _XYZ_ELEMENTS.items():
+        a, b = data.draw(elements), data.draw(elements)
+        for chart in "AB":
+            ca, cb = lm.to_chart(a, chart), lm.to_chart(b, chart)
+            for el in (ca, lm.to_chart(a - b, chart), lm.to_chart(a * b, chart)):
+                assert _stores_no_zero(el)
+            assert lm.to_chart(a - b, chart) == ca - cb
+            assert lm.to_chart(a * b, chart) == ca * cb
