@@ -28,6 +28,21 @@ Matrix = list[list[Fraction]]
 SparseRow = dict[int, int]
 
 
+def exact(c) -> int | Fraction:
+    """`c` as an exact rational: an int when it is integral, else a Fraction.
+
+    Arithmetic then runs on Python ints wherever the input is integral;
+    ``1 == Fraction(1)`` with equal hashes, so mixed values compare as before.
+    """
+    if type(c) is int:
+        return c
+    if not isinstance(c, Fraction):
+        if isinstance(c, int):
+            return int(c)
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def integer_row(row) -> SparseRow:
     """A dense or ``{column: value}`` row of ints/Fractions as a sparse int row.
 

@@ -44,24 +44,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 
-from ._linalg import Echelon, integer_row, nullspace, rank
+from ._linalg import Echelon, exact, integer_row, nullspace, rank
 from .errors import AdesurfError, RingConstructionError
 
 Monomial = tuple[int, ...]
 Coeff = int | Fraction
 Terms = dict[Monomial, Coeff]
-
-
-def _exact(c) -> Coeff:
-    """`c` as an exact rational: an int when it is integral, else a Fraction.
-
-    Ring arithmetic then runs on Python ints wherever the input is integral;
-    ``1 == Fraction(1)`` with equal hashes, so mixed terms compare as before.
-    """
-    if isinstance(c, int):
-        return int(c)
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 def _accumulate(out: Terms, terms: Terms, scale: Coeff = 1) -> Terms:
@@ -138,7 +126,7 @@ class TruncRing:
                 raise RingConstructionError(
                     "relation right side contains its own left-side variable"
                 )
-            c = _exact(coeff)
+            c = exact(coeff)
             if c:
                 rhs_terms[mon] = rhs_terms.get(mon, 0) + c
         lhs_degree = power * self.var_degrees[var]
@@ -188,7 +176,7 @@ class TruncRing:
         return RingElement(self, {mon: 1})
 
     def const(self, c) -> "RingElement":
-        c = _exact(c)
+        c = exact(c)
         if not c:
             return RingElement(self, {})
         return RingElement(self, {(0,) * self.nvars: c})
@@ -344,7 +332,7 @@ class RingElement:
 
     def __mul__(self, other):
         if not isinstance(other, RingElement) and isinstance(other, (int, Fraction)):
-            c = _exact(other)
+            c = exact(other)
             if not c:
                 return self.ring.zero()
             return RingElement(

@@ -1,9 +1,12 @@
 """Exact univariate polynomials over Q, plus polynomials in u over Q[t].
 
-QPoly is a dense immutable coefficient tuple (ascending powers) of
-Fractions.  The bivariate layer needed for spectral covers is kept as
-plain lists of QPoly coefficients (ascending powers of u) manipulated by
-the u_* functions; covers are monic in u so nothing fancier is needed.
+QPoly is a dense immutable coefficient tuple (ascending powers) of exact
+rationals: each integral coefficient is a Python int and only the others
+are Fractions, so integer polynomials are handled on ints throughout.
+``1 == Fraction(1)`` with equal hashes, so equality and sorting do not see
+the difference.  The bivariate layer needed for spectral covers is kept
+as plain lists of QPoly coefficients (ascending powers of u) manipulated
+by the u_* functions; covers are monic in u so nothing fancier is needed.
 
 Two independent resultant routes are provided on purpose:
 
@@ -11,9 +14,12 @@ Two independent resultant routes are provided on purpose:
   Q[t], computed fraction-free (Bareiss, exact divisions only);
 * ``u_resultant_prs`` -- the subresultant pseudo-remainder sequence.
 
+Over Z[t] both divide only exactly (Brown and Traub, J. ACM 18, 1971), so
+an integer cover's discriminant builds no Fraction.
+
 They are cross-checked against each other in the test suite.
 
-Factoring over Q (``irreducible_factors``) is Zassenhaus' method over Z on
+Factoring over Q (``factor_multiplicities``) is Zassenhaus' method over Z on
 each part of the squarefree decomposition: Berlekamp's algorithm modulo a
 small prime, Hensel lifting, and recombination of the modular factors.
 It makes no random choice, so equal inputs take equal steps.
@@ -26,25 +32,38 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd as int_gcd, isqrt
 
+from ._linalg import exact
 
-def _trim(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+Coeff = int | Fraction
+
+
+def _trim(coeffs: tuple[Coeff, ...]) -> tuple[Coeff, ...]:
     k = len(coeffs)
     while k > 0 and coeffs[k - 1] == 0:
         k -= 1
     return coeffs[:k]
 
 
+def _div(a: Coeff, b: Coeff) -> Coeff:
+    """a / b as an exact rational: an int when both are ints and b divides a."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return exact(Fraction(a, b))
+
+
 @dataclass(frozen=True)
 class QPoly:
-    coeffs: tuple[Fraction, ...] = ()
+    coeffs: tuple[Coeff, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim(tuple(Fraction(c) for c in self.coeffs)))
+        object.__setattr__(self, "coeffs", _trim(tuple(map(exact, self.coeffs))))
 
     # -- constructors ------------------------------------------------------
     @staticmethod
     def const(c) -> "QPoly":
-        return QPoly((Fraction(c),))
+        return QPoly((c,))
 
     @staticmethod
     def zero() -> "QPoly":
@@ -52,11 +71,11 @@ class QPoly:
 
     @staticmethod
     def one() -> "QPoly":
-        return QPoly((Fraction(1),))
+        return QPoly((1,))
 
     @staticmethod
     def x() -> "QPoly":
-        return QPoly((Fraction(0), Fraction(1)))
+        return QPoly((0, 1))
 
     # -- basic structure ----------------------------------------------------
     @property
@@ -67,14 +86,14 @@ class QPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def lc(self) -> Fraction:
+    def lc(self) -> Coeff:
         if self.is_zero():
             raise ZeroDivisionError("leading coefficient of the zero polynomial")
         return self.coeffs[-1]
 
-    def __call__(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
+    def __call__(self, x) -> Coeff:
+        x = exact(x)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -97,10 +116,10 @@ class QPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QPoly(tuple(Fraction(other) * c for c in self.coeffs))
+            return QPoly(tuple(other * c for c in self.coeffs))
         if self.is_zero() or other.is_zero():
             return QPoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -130,12 +149,12 @@ class QPoly:
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
             return QPoly(()), self
-        quo = [Fraction(0)] * (dq + 1)
+        quo = [0] * (dq + 1)
         olc = other.lc()
         for k in range(dq, -1, -1):
             if len(rem) < len(other.coeffs) + k:
                 continue
-            c = rem[len(other.coeffs) + k - 1] / olc
+            c = _div(rem[len(other.coeffs) + k - 1], olc)
             if c == 0:
                 continue
             quo[k] = c
@@ -150,13 +169,13 @@ class QPoly:
         return q
 
     def derivative(self) -> "QPoly":
-        return QPoly(tuple(Fraction(i) * c for i, c in enumerate(self.coeffs) if i))
+        return QPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
     def monic(self) -> "QPoly":
         if self.is_zero():
             return self
         lc = self.lc()
-        return QPoly(tuple(c / lc for c in self.coeffs))
+        return QPoly(tuple(_div(c, lc) for c in self.coeffs))
 
     # -- number-theoretic helpers -------------------------------------------
     def primitive_int(self) -> tuple[int, ...]:
@@ -166,7 +185,7 @@ class QPoly:
         den = 1
         for c in self.coeffs:
             den = den * c.denominator // int_gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
+        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
         g = 0
         for v in ints:
             g = int_gcd(g, abs(v))
@@ -226,11 +245,22 @@ def squarefree_decomposition(p: QPoly) -> list[tuple[QPoly, int]]:
 def factor_multiplicities(p: QPoly) -> list[tuple[QPoly, int]]:
     """Irreducible factors over Q with their multiplicities, sorted by (degree, coeffs).
 
-    Each part of the squarefree decomposition is factored once; the parts
-    are coprime, so no factor is listed twice.
+    Each part of the squarefree decomposition is factored once over Z by
+    Zassenhaus' method, which makes no random choice.  Every factor is
+    integer-primitive with a positive leading coefficient.  The parts are
+    coprime, so no factor is listed twice.
     """
-    out = [(f, mult) for g, mult in squarefree_decomposition(p) for f in irreducible_factors(g)]
+    out = [
+        (QPoly(tuple(f)), mult)
+        for g, mult in squarefree_decomposition(p)
+        for f in _factor_squarefree(list(g.primitive_int()))
+    ]
     return sorted(out, key=lambda fm: (fm[0].degree, fm[0].coeffs))
+
+
+def irreducible_factors(p: QPoly) -> list[QPoly]:
+    """The factors of factor_multiplicities(p) without their multiplicities."""
+    return [f for f, _ in factor_multiplicities(p)]
 
 
 def rational_roots(p: QPoly) -> list[tuple[Fraction, int]]:
@@ -240,7 +270,7 @@ def rational_roots(p: QPoly) -> list[tuple[Fraction, int]]:
 
 def linear_roots(factors: list[tuple[QPoly, int]]) -> list[tuple[Fraction, int]]:
     """(root, multiplicity) of the linear factors in a factor_multiplicities list, ascending."""
-    return sorted((-f.coeffs[0] / f.coeffs[1], mult) for f, mult in factors if f.degree == 1)
+    return sorted((Fraction(-f.coeffs[0], f.coeffs[1]), mult) for f, mult in factors if f.degree == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -404,22 +434,6 @@ def u_resultant_prs(f: UPoly, g: UPoly) -> QPoly:
             else:
                 res = num.exact_div(hh ** (dA - 1))
             return res if s == 1 else -res
-
-
-def irreducible_factors(p: QPoly) -> list[QPoly]:
-    """Irreducible factors over Q, integer-primitive, sorted by (degree, coeffs).
-
-    Each part of the squarefree decomposition is factored over Z by
-    Zassenhaus' method, which makes no random choice.  Every factor has a
-    positive leading coefficient.  Multiplicities are dropped; callers
-    wanting them use factor_multiplicities.
-    """
-    out = [
-        QPoly(tuple(f))
-        for g, _ in squarefree_decomposition(p)
-        for f in _factor_squarefree(list(g.primitive_int()))
-    ]
-    return sorted(out, key=lambda q: (q.degree, q.coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ class CoverPoly:
         return QPoly(tuple(vals))
 
 
-def discriminant(cover: CoverPoly, method: str = "sylvester") -> QPoly:
+def discriminant(cover: CoverPoly, method: str = "prs") -> QPoly:
     """Resultant of (F, dF/du) with respect to u; zero is a non-reduced cover."""
     f = cover.as_upoly()
     df = u_derivative(f)

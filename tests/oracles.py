@@ -38,6 +38,10 @@ with their true images, which carry 1/2.  They read only a ring's
 variables, relations and basis, so the package's integer arithmetic and
 memoised normal forms are tested against them.
 
+``sympy_poly`` and ``qpoly_of`` convert a QPoly to a ``sympy.Poly`` in t
+over QQ and back, so the package's polynomial arithmetic can be tested
+against sympy's.  ``sympy_resultant`` is the resultant in u of two
+polynomials with QPoly coefficients, by ``sympy.resultant``.
 ``sympy_factors`` factors a polynomial over Q with sympy's ``factor_list``;
 the package's own Zassenhaus factoring is tested against it.  sympy is
 needed only here, and is imported on the first call.
@@ -507,6 +511,33 @@ def fraction_to_chart(terms, var_names, chart):
     return {k: v for k, v in out.items() if v}
 
 
+def sympy_poly(p):
+    """A QPoly as a sympy.Poly in t over QQ."""
+    import sympy
+
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return sympy.Poly(coeffs or [0], sympy.Symbol("t"), domain="QQ")
+
+
+def qpoly_of(poly):
+    """A sympy.Poly in one variable over QQ as a QPoly."""
+    from adesurf.qpoly import QPoly
+
+    return QPoly(tuple(Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())))
+
+
+def sympy_resultant(f, g):
+    """Resultant in u of two lists of QPoly coefficients (ascending powers of u), by sympy."""
+    import sympy
+
+    t, u = sympy.symbols("t u")
+
+    def expr(h):
+        return sum(sympy_poly(c).as_expr() * u**i for i, c in enumerate(h))
+
+    return qpoly_of(sympy.Poly(sympy.resultant(expr(f), expr(g), u), t, domain="QQ"))
+
+
 def sympy_factors(p):
     """(irreducible factor, multiplicity) pairs of a QPoly over Q, by sympy.
 
@@ -517,12 +548,6 @@ def sympy_factors(p):
 
     from adesurf.qpoly import QPoly
 
-    t = sympy.Symbol("t")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * t**i for i, c in enumerate(p.coeffs))
-    _, factors = sympy.factor_list(sympy.Poly(expr, t))
-    out = []
-    for fac, mult in factors:
-        coeffs = reversed(sympy.Poly(fac, t).all_coeffs())
-        q = QPoly(tuple(Fraction(str(c)) for c in coeffs))
-        out.append((QPoly(q.primitive_int()), mult))
+    _, factors = sympy.factor_list(sympy_poly(p))
+    out = [(QPoly(qpoly_of(fac).primitive_int()), mult) for fac, mult in factors]
     return sorted(out, key=lambda fm: (fm[0].degree, fm[0].coeffs))

@@ -261,6 +261,33 @@ def test_spectral_analyze_large_constant(tmp_path, capsys):
     assert {"coeffs": ["1000000007000000049/1", "0/1", "1/1"]} in doc["nonrational_factors"]
 
 
+@pytest.mark.parametrize(
+    "coeffs, stdout",
+    [
+        (
+            '[["1/2", 0, -3], [0, "2/3"], [1]]',
+            '{"branch_multiplicities":[],"branch_points":[],'
+            '"discriminant":{"coeffs":["35/4","-6/1","-841/9","1004/27","243/1"]},"n":3,'
+            '"nonrational_factors":[{"coeffs":["945/1","-648/1","-10092/1","4016/1","26244/1"]}],'
+            '"ramification_profile":[]}\n',
+        ),
+        # u^2 - (2t - 1)(3t + 1)/4 branches at t = -1/3 and t = 1/2
+        (
+            '[["1/4", "1/4", "-3/2"], []]',
+            '{"branch_multiplicities":[1,1],"branch_points":["-1/3","1/2"],'
+            '"discriminant":{"coeffs":["1/1","1/1","-6/1"]},"n":2,"nonrational_factors":[],'
+            '"ramification_profile":[{"partition":[2],"t":"-1/3"},{"partition":[2],"t":"1/2"}]}\n',
+        ),
+    ],
+    ids=["rational-discriminant", "rational-branch-points"],
+)
+def test_spectral_analyze_rational_cover_stdout(tmp_path, capsys, coeffs, stdout):
+    # rationals print as "p/q" strings, integral ones too
+    cover = tmp_path / "cover.json"
+    cover.write_text(f'{{"n": {len(json.loads(coeffs))}, "coeffs": {coeffs}}}')
+    assert run_cli(capsys, ["spectral", "analyze", "--cover", str(cover)]) == (0, stdout)
+
+
 def test_spectral_sen(capsys):
     code, out = run_cli(
         capsys,

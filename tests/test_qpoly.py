@@ -17,11 +17,21 @@ from adesurf.qpoly import (
     u_resultant_sylvester,
 )
 
-from .oracles import sympy_factors
+from .oracles import qpoly_of, sympy_factors, sympy_poly, sympy_resultant
 
 
 def _rand_qpoly(rng, max_deg=3, span=4):
-    return QPoly(tuple(Fraction(rng.randint(-span, span)) for _ in range(rng.randint(1, max_deg + 1))))
+    """Integer coefficients in [-span, span], about a quarter of them divided by 2, 3 or 5."""
+    return QPoly(tuple(
+        Fraction(rng.randint(-span, span), rng.choice((2, 3, 5))) if rng.random() < 0.25
+        else rng.randint(-span, span)
+        for _ in range(rng.randint(1, max_deg + 1))
+    ))
+
+
+def _stored_exactly(p):
+    """Every integral coefficient is an int, every other one a Fraction."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in p.coeffs)
 
 
 def test_divmod_inverts_multiplication():
@@ -31,8 +41,12 @@ def test_divmod_inverts_multiplication():
         b = _rand_qpoly(rng)
         if b.is_zero():
             continue
-        q, r = (a * b + _rand_qpoly(rng, 1)).divmod(b)
-        assert (q * b + r).coeffs == (a * b + _rand_qpoly(rng, 0)).coeffs or True
+        e = _rand_qpoly(rng, 1)
+        q, r = (a * b + e).divmod(b)
+        assert q * b + r == a * b + e
+        assert r.is_zero() or r.degree < b.degree
+        if e.degree < b.degree:
+            assert (q, r) == (a, e)
         q2, r2 = a.divmod(b)
         assert ((q2 * b) + r2).coeffs == a.coeffs
         assert r2.is_zero() or r2.degree < b.degree
@@ -180,3 +194,60 @@ def test_u_derivative():
     t = QPoly.x()
     f = [-t, QPoly.zero(), QPoly.one()]  # u^2 - t
     assert u_derivative(f) == [QPoly.zero(), QPoly.const(2)]
+
+
+# coefficients mixing ints, integral Fractions such as Fraction(4, 2), and
+# non-integral Fractions
+_INT = st.integers(-9, 9)
+_MIXED = st.one_of(_INT, _INT.map(Fraction), st.fractions(-9, 9, max_denominator=6))
+_QPOLY = st.lists(_MIXED, max_size=5).map(lambda cs: QPoly(tuple(cs)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_QPOLY, _QPOLY, _MIXED)
+def test_arithmetic_matches_sympy(a, b, x):
+    sa, sb = sympy_poly(a), sympy_poly(b)
+    results = [a + b, a - b, a * b, a.derivative()]
+    assert results == [qpoly_of(sa + sb), qpoly_of(sa - sb), qpoly_of(sa * sb), qpoly_of(sa.diff())]
+    # the remainder of a by t - x is a(x)
+    assert QPoly.const(a(x)) == qpoly_of(sa.rem(sympy_poly(QPoly((-x, 1)))))
+    if not b.is_zero():
+        q, r = a.divmod(b)
+        sq, sr = sa.div(sb)
+        gcd_ab = qpoly_gcd(a, b)
+        results += [q, r, gcd_ab, b.monic(), (a * b).exact_div(b)]
+        assert (q, r) == (qpoly_of(sq), qpoly_of(sr))
+        assert gcd_ab == qpoly_of(sa.gcd(sb))
+        assert b.monic() == qpoly_of(sb.monic())
+        assert (a * b).exact_div(b) == a
+    assert all(map(_stored_exactly, results))
+
+
+def _cover(draw, coeff, n):
+    """A random monic polynomial of u-degree n with coefficients of t-degree at most 2."""
+    return [QPoly(tuple(draw(st.lists(coeff, max_size=3)))) for _ in range(n)] + [QPoly.one()]
+
+
+@pytest.mark.parametrize("coeff", [_INT, _MIXED], ids=["integer", "rational"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_resultants_match_sympy(coeff, data):
+    f = _cover(data.draw, coeff, data.draw(st.integers(2, 4)))
+    g = _cover(data.draw, coeff, data.draw(st.integers(1, 4)))
+    for h in (u_derivative(f), g):
+        want = sympy_resultant(f, h)
+        assert u_resultant_sylvester(f, h) == want
+        assert u_resultant_prs(f, h) == want
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    p = QPoly((Fraction(4, 2), "3", 5, Fraction(1, 2), "-6/3", Fraction(0)))
+    assert p.coeffs == (2, 3, 5, Fraction(1, 2), -2)
+    assert [type(c) for c in p.coeffs] == [int, int, int, Fraction, int]
+    # 1/2 t times 2 is t; t^2 + 1 over 2t leaves a Fraction only in the quotient
+    assert [type(c) for c in (QPoly((0, Fraction(1, 2))) * 2).coeffs] == [int, int]
+    q, r = QPoly((1, 0, 1)).divmod(QPoly((0, 2)))
+    assert (q.coeffs, r.coeffs) == ((0, Fraction(1, 2)), (1,))
+    assert [type(c) for c in q.coeffs + r.coeffs] == [int, Fraction, int]
+    assert [type(c) for c in QPoly((4, 6, 2)).monic().coeffs] == [int, int, int]
+    assert type(QPoly((1, 1))(Fraction(6, 3))) is int

@@ -159,6 +159,44 @@ def test_branch_report_large_discriminant():
     assert [f for f, _ in sympy_factors(residual)] == list(report.nonrational_factors)
 
 
+def _five_sheets():
+    # the product of u - (a + b t) over five sheets, as in the benchmark
+    f = [ONE]
+    for a, b in [(1, 2), (3, -1), (0, 5), (-2, 1), (4, 3)]:
+        sheet = [QPoly((-a, -b)), ONE]
+        f = [
+            sum((f[i] * sheet[k - i] for i in range(len(f)) if 0 <= k - i < 2), ZERO)
+            for k in range(len(f) + 1)
+        ]
+    return CoverPoly(5, tuple(f[:-1]))
+
+
+def _binomial():
+    # u^5 - (t - 1)(t + 6)(t^2 + 1000000007)
+    g = QPoly((-1, 1)) * QPoly((6, 1)) * QPoly((1000000007, 0, 1))
+    return CoverPoly(5, (-g, ZERO, ZERO, ZERO, ZERO))
+
+
+@pytest.mark.parametrize("make_cover", [_five_sheets, _binomial], ids=["five-sheets", "binomial"])
+@pytest.mark.parametrize("method", ["sylvester", "prs"])
+def test_integer_cover_discriminant_builds_no_fraction(monkeypatch, make_cover, method):
+    cover = make_cover()
+    want = discriminant(cover, method="sylvester" if method == "prs" else "prs")
+    built = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    disc = discriminant(cover, method=method)
+    monkeypatch.undo()
+    assert built == []
+    assert disc == want
+    assert {type(c) for c in disc.coeffs} == {int}
+
+
 def _python_calls(fn):
     calls = 0
 
