@@ -17,6 +17,9 @@ when it divides the reduced rows by their pivots.
 constraints, to detect inconsistent targets and to invert a Gram matrix
 of at most 3x3.  ``signature_symmetric`` counts the inertia of a
 symmetric matrix by congruence, which no echelon of its rows gives.
+
+``exact`` is the one rule by which the graded-ring engine and ``qpoly``
+store a rational coefficient: an int when it is integral, else a Fraction.
 """
 
 from __future__ import annotations
@@ -24,11 +27,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+Coeff = int | Fraction
 Matrix = list[list[Fraction]]
 SparseRow = dict[int, int]
 
 
-def exact(c) -> int | Fraction:
+def exact(c) -> Coeff:
     """`c` as an exact rational: an int when it is integral, else a Fraction.
 
     Arithmetic then runs on Python ints wherever the input is integral;
@@ -36,9 +40,9 @@ def exact(c) -> int | Fraction:
     """
     if type(c) is int:
         return c
+    if isinstance(c, int):
+        return int(c)
     if not isinstance(c, Fraction):
-        if isinstance(c, int):
-            return int(c)
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 

@@ -44,11 +44,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 
-from ._linalg import Echelon, exact, integer_row, nullspace, rank
+from ._linalg import Coeff, Echelon, exact, integer_row, nullspace, rank
 from .errors import AdesurfError, RingConstructionError
 
 Monomial = tuple[int, ...]
-Coeff = int | Fraction
 Terms = dict[Monomial, Coeff]
 
 

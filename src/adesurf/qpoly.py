@@ -32,9 +32,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd as int_gcd, isqrt
 
-from ._linalg import exact
-
-Coeff = int | Fraction
+from ._linalg import Coeff, exact
 
 
 def _trim(coeffs: tuple[Coeff, ...]) -> tuple[Coeff, ...]:

