@@ -26,6 +26,12 @@ def encode_fraction(f: Fraction) -> str:
 
 def jsonable(obj):
     """Recursively convert package values into JSON-serializable data."""
+    if isinstance(obj, (list, tuple)):
+        # coefficient tuples are the bulk of large outputs (17 280 classes in
+        # the orbit of h on dP8): one scan instead of a call per entry
+        if all(type(v) is int and -SAFE_INT <= v <= SAFE_INT for v in obj):
+            return list(obj)
+        return [jsonable(v) for v in obj]
     if isinstance(obj, bool) or obj is None or isinstance(obj, str):
         return obj
     if isinstance(obj, int):
@@ -36,8 +42,6 @@ def jsonable(obj):
         raise TypeError("refusing to serialize a float; this package is exact")
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
     raise TypeError(f"no JSON encoding for {type(obj).__name__}")
 
 

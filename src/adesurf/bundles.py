@@ -29,7 +29,7 @@ from .errors import (
     BoundaryRestrictionError,
     RepresentationMismatchError,
 )
-from .lattice import KIND_HIRZEBRUCH, LatticeClass, SurfaceModel
+from .lattice import KIND_HIRZEBRUCH, LatticeClass, SurfaceModel, dot
 
 FUNDAMENTAL_A = "fundamental_a"
 VECTOR_D = "vector_d"
@@ -83,12 +83,6 @@ class EBundleClass:
     def rank(self) -> int:
         return sum(e.mult for e in self.entries)
 
-    def inversion_symmetric(self) -> bool:
-        counts: dict[int, int] = {}
-        for e in self.entries:
-            counts[e.point] = counts.get(e.point, 0) + e.mult
-        return all(counts.get((-p) % self.order, 0) == m for p, m in counts.items())
-
 
 @dataclass(frozen=True)
 class EMarking:
@@ -105,12 +99,6 @@ class EMarking:
             "points",
             tuple(sorted((int(i), int(p) % self.order) for i, p in dict(self.points).items())),
         )
-
-    def point(self, i: int) -> int:
-        for k, p in self.points:
-            if k == i:
-                return p
-        raise AdesurfError(f"marking has no point for l{i}")
 
 
 @dataclass(frozen=True)
@@ -182,16 +170,28 @@ def twist(bundle: FormalBundle, by: LatticeClass) -> FormalBundle:
 
 def boundary_degree(model: SurfaceModel, cls: LatticeClass) -> int:
     """Degree of the restriction to the boundary anticanonical curve: cls * E."""
-    return model.pair(cls, model.E)
+    model.check_basis(cls, model.E)
+    return dot(cls.coeffs, model.e_row)
 
 
-def _restrict_class(model: SurfaceModel, cls: LatticeClass, marking: EMarking) -> int:
+MarkingRow = tuple[tuple[int, int, int | None], ...]
+
+
+def _marking_row(model: SurfaceModel, marking: EMarking) -> MarkingRow:
+    """(position, i, p_i) for each l_i of the model; p_i is None when unmarked."""
+    points = dict(marking.points)
+    return tuple((j, i, points.get(i)) for j, i in model.exceptional_positions)
+
+
+def _restrict_class(cls: LatticeClass, row: MarkingRow, order: int) -> int:
     value = 0
-    for label, coeff in zip(model.labels, cls.coeffs):
-        if coeff == 0 or not label.startswith("l"):
-            continue  # b and f (and h) restrict through the identity point
-        value += coeff * marking.point(int(label[1:]))
-    return value % marking.order
+    x = cls.coeffs
+    for j, i, p in row:  # b and f (and h) restrict through the identity point
+        if x[j]:
+            if p is None:
+                raise AdesurfError(f"marking has no point for l{i}")
+            value += x[j] * p
+    return value % order
 
 
 def restrict_to_boundary(bundle: FormalBundle, marking: EMarking) -> EBundleClass:
@@ -203,10 +203,11 @@ def restrict_to_boundary(bundle: FormalBundle, marking: EMarking) -> EBundleClas
             raise BoundaryRestrictionError(
                 f"summand {cls.coeffs} has boundary degree {deg}; twist before restricting"
             )
+    row = _marking_row(model, marking)
     entries: list[PointEntry] = []
     plain: dict[int, int] = {}
     for gid, classes in bundle.blocks():
-        points = {_restrict_class(model, c, marking) for c in classes}
+        points = {_restrict_class(c, row, marking.order) for c in classes}
         if len(points) != 1:
             raise BoundaryRestrictionError(
                 "filtration block restricts to several distinct points; "

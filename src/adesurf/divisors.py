@@ -23,7 +23,7 @@ from functools import cache
 from itertools import combinations
 
 from .errors import AdesurfError, BasisMismatchError, EnumerationBoundError, ParityViolationError
-from .lattice import LatticeClass, SurfaceModel
+from .lattice import LatticeClass, SurfaceModel, dot
 from .linesroots import enumerate_classes, enumerate_lines
 
 EFFECTIVE = "effective"
@@ -91,7 +91,8 @@ def euler_char(model: SurfaceModel, d: LatticeClass) -> int:
 
 
 def _dual(model: SurfaceModel, c: LatticeClass) -> tuple[int, ...]:
-    return tuple(sum(g * x for g, x in zip(row, c.coeffs)) for row in model.gram)
+    x = c.coeffs
+    return tuple(dot(x, row) for row in model.gram_rows)
 
 
 def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:

@@ -26,11 +26,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import add, neg, sub
 
 from ._linalg import signature_symmetric
 from .errors import AdesurfError, BasisMismatchError, UnrelatedModelsError
 
 MAX_BLOWUPS = 64
+
+SparseRow = tuple[tuple[int, int], ...]
 
 KIND_HIRZEBRUCH = "hirzebruch_blowup"
 KIND_P2 = "p2_blowup"
@@ -58,14 +62,14 @@ class LatticeClass:
 
     def __add__(self, other: "LatticeClass") -> "LatticeClass":
         self._check(other)
-        return LatticeClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.basis_id)
+        return LatticeClass(tuple(map(add, self.coeffs, other.coeffs)), self.basis_id)
 
     def __sub__(self, other: "LatticeClass") -> "LatticeClass":
         self._check(other)
-        return LatticeClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), self.basis_id)
+        return LatticeClass(tuple(map(sub, self.coeffs, other.coeffs)), self.basis_id)
 
     def __neg__(self) -> "LatticeClass":
-        return LatticeClass(tuple(-a for a in self.coeffs), self.basis_id)
+        return LatticeClass(tuple(map(neg, self.coeffs)), self.basis_id)
 
     def __mul__(self, k: int) -> "LatticeClass":
         return LatticeClass(tuple(k * a for a in self.coeffs), self.basis_id)
@@ -74,6 +78,16 @@ class LatticeClass:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
+
+
+def sparse(values) -> SparseRow:
+    """The nonzero entries of a vector as (index, value) pairs."""
+    return tuple((j, v) for j, v in enumerate(values) if v)
+
+
+def dot(coeffs: tuple[int, ...], row: SparseRow) -> int:
+    """The dot product of a coefficient tuple with a sparse row."""
+    return sum(coeffs[j] * v for j, v in row)
 
 
 @dataclass(frozen=True)
@@ -105,30 +119,59 @@ class SurfaceModel:
     def zero(self) -> LatticeClass:
         return self.cls((0,) * self.rank)
 
+    # Built on first use and kept on the instance.  A Gram row has one or
+    # two nonzero entries, so pairing through the sparse rows skips the zeros.
+    @cached_property
+    def gram_rows(self) -> tuple[SparseRow, ...]:
+        """The Gram matrix as sparse rows."""
+        return tuple(sparse(row) for row in self.gram)
+
+    @cached_property
+    def e_row(self) -> SparseRow:
+        """Gram * E: the boundary degree x*E is one dot product with it."""
+        return self.pairing_row(self.E)
+
+    @cached_property
+    def _basis_classes(self) -> dict[str, LatticeClass]:
+        r = self.rank
+        return {
+            label: LatticeClass(tuple(int(j == i) for j in range(r)), self.basis_id)
+            for i, label in enumerate(self.labels)
+        }
+
+    @cached_property
+    def exceptional_positions(self) -> tuple[tuple[int, int], ...]:
+        """(position in the basis, i) for each exceptional class l_i."""
+        return tuple((j, int(label[1:])) for j, label in enumerate(self.labels) if label[0] == "l")
+
     def basis_class(self, label: str) -> LatticeClass:
         try:
-            i = self.labels.index(label)
-        except ValueError:
+            return self._basis_classes[label]
+        except KeyError:
             raise AdesurfError(f"no basis label {label!r} in {self.basis_id!r}") from None
-        return self.cls(tuple(int(j == i) for j in range(self.rank)))
 
     def exceptional(self, i: int) -> LatticeClass:
         """The class l_i (indexing follows the labels of the model)."""
         return self.basis_class(f"l{i}")
 
-    def pair(self, a: LatticeClass, b: LatticeClass) -> int:
+    def check_basis(self, a: LatticeClass, b: LatticeClass) -> None:
+        """Raise BasisMismatchError unless a and b both live in this model."""
         if a.basis_id != self.basis_id or b.basis_id != self.basis_id:
             raise BasisMismatchError(
                 f"pairing on {self.basis_id!r} got classes from "
                 f"{a.basis_id!r} and {b.basis_id!r}"
             )
-        total = 0
-        for i, ai in enumerate(a.coeffs):
-            if ai == 0:
-                continue
-            row = self.gram[i]
-            total += ai * sum(row[j] * bj for j, bj in enumerate(b.coeffs) if bj != 0)
-        return total
+
+    def pairing_row(self, c: LatticeClass) -> SparseRow:
+        """Gram * c in sparse form: x*c is dot(x.coeffs, pairing_row(c))."""
+        self.check_basis(c, c)
+        x = c.coeffs
+        return sparse(dot(x, row) for row in self.gram_rows)
+
+    def pair(self, a: LatticeClass, b: LatticeClass) -> int:
+        self.check_basis(a, b)
+        y = b.coeffs
+        return sum(ai * dot(y, row) for ai, row in zip(a.coeffs, self.gram_rows) if ai)
 
     def verify(self) -> None:
         """Check the structural invariants of the model; raises on failure."""

@@ -41,8 +41,10 @@ from .errors import (
 from .lattice import (
     KIND_HIRZEBRUCH,
     LatticeClass,
+    SparseRow,
     SurfaceModel,
     change_basis,
+    dot,
     p2_presentation,
 )
 
@@ -201,8 +203,8 @@ class RootDatum:
     simple_roots: tuple[LatticeClass, ...]
     cartan: tuple[tuple[int, ...], ...]
     type_label: str
-    # Gram * alpha_i for each simple root: x*alpha_i is a dot product with row i
-    pairing_rows: tuple[tuple[int, ...], ...]
+    # Gram * alpha_i for each simple root, sparse: x*alpha_i is dot(x, row i)
+    pairing_rows: tuple[SparseRow, ...]
 
     @property
     def rank(self) -> int:
@@ -362,9 +364,8 @@ def enumerate_roots(
             constraints.append((model.base_class, 0))
     roots = enumerate_classes(model, -2, constraints, bound_margin=bound_margin)
     simple = _simple_roots(model, roots)
-    gram = model.gram
-    rows = tuple(tuple(sum(g * a for g, a in zip(row, s.coeffs)) for row in gram) for s in simple)
-    cartan = tuple(tuple(-sum(a * r for a, r in zip(s.coeffs, row)) for row in rows) for s in simple)
+    rows = tuple(model.pairing_row(s) for s in simple)
+    cartan = tuple(tuple(-dot(s.coeffs, row) for row in rows) for s in simple)
     return RootDatum(
         model=model,
         roots=tuple(roots),
@@ -395,7 +396,7 @@ def _weights(datum: RootDatum, cls: LatticeClass) -> tuple[int, ...]:
             f"pairing on {basis!r} got classes from {cls.basis_id!r} and {basis!r}"
         )
     x = cls.coeffs
-    return tuple(sum(a * b for a, b in zip(x, row)) for row in datum.pairing_rows)
+    return tuple(dot(x, row) for row in datum.pairing_rows)
 
 
 def _dominant(datum: RootDatum, cls: LatticeClass) -> tuple[tuple[int, ...], tuple[int, ...]]:

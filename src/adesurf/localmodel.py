@@ -507,10 +507,6 @@ def _combination(ring: TruncRing, combo: dict[int, Coeff], elements: list[RingEl
     return RingElement(ring, out, reduced=True)
 
 
-def module_dim(module: GradedModule, d: int) -> int:
-    return rank(_vectors(module.ring, module.spanning_elements(d), d))
-
-
 @dataclass(frozen=True)
 class DegreeCheck:
     ok: bool
@@ -565,11 +561,6 @@ def min_generator_profile(ring: TruncRing, ideal_gens, maxdeg: int) -> list[int]
         units = [g for g in module.generators if g.degree == d]
         profile.append(span.extend(_vectors(ring, units, d)))
     return profile
-
-
-def min_generators_at_origin(ring: TruncRing, ideal_gens, maxdeg: int) -> int:
-    """dim of I / mI summed over degrees <= maxdeg (graded Nakayama count)."""
-    return sum(min_generator_profile(ring, ideal_gens, maxdeg))
 
 
 def _var_indices(ring: TruncRing, over_vars) -> tuple[int, ...]:

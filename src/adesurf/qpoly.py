@@ -19,18 +19,19 @@ an integer cover's discriminant builds no Fraction.
 
 They are cross-checked against each other in the test suite.
 
-Factoring over Q (``factor_multiplicities``) is Zassenhaus' method over Z on
-each part of the squarefree decomposition: Berlekamp's algorithm modulo a
-small prime, Hensel lifting, and recombination of the modular factors.
-It makes no random choice, so equal inputs take equal steps.
+The squarefree decomposition is Yun's algorithm on the primitive integer
+part of a polynomial (Yun, SYMSAC 1976), with gcds by the primitive PRS
+(Brown, J. ACM 18, 1971) and quotients by exact integer division, so it
+builds no Fraction either.  Factoring over Q (``factor_multiplicities``)
+hands each of its integer parts to Zassenhaus' method over Z, which lives
+in ``_zassenhaus`` and is imported on the first factoring call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import gcd as int_gcd, isqrt
+from math import gcd as int_gcd
 
 from ._linalg import Coeff, exact
 
@@ -208,50 +209,131 @@ class QPoly:
         return " + ".join(parts)
 
 
-def qpoly_gcd(a: QPoly, b: QPoly) -> QPoly:
-    """Monic gcd over Q."""
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return a.monic() if not a.is_zero() else a
+# ---------------------------------------------------------------------------
+# integer polynomials: lists of ints in ascending powers, no trailing zeros
+
+
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    out = a + [0] * (len(b) - len(a)) if len(a) < len(b) else list(a)
+    for i, c in enumerate(b):
+        out[i] -= c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _derivative(a: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by its content, with positive leading coefficient; a is nonzero."""
+    g = 0
+    for c in a:
+        g = int_gcd(g, c)
+    if a[-1] < 0:
+        g = -g
+    return [c // g for c in a]
+
+
+def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """A nonzero integer multiple of the remainder of a by b over Q."""
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    while len(r) > db:
+        c = r[-1]
+        if c:
+            # lc(b) r - c t^k b cancels the top term; dividing lc(b) and c by
+            # their gcd first keeps the multiple small
+            g = int_gcd(c, lb)
+            m, c = lb // g, c // g
+            k = len(r) - 1 - db
+            r = [m * x for x in r]
+            for j in range(db):
+                r[k + j] -= c * b[j]
+        r.pop()
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd over Z of a and b, not both zero, by the primitive PRS (Brown 1971)."""
+    while b:
+        a, b = b, _pseudo_rem(a, b)
+        if b:
+            b = _primitive(b)
+    return _primitive(a)
+
+
+def _exact_quo(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a primitive b dividing a over Q; the quotient is then over Z."""
+    rem = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    quo = [0] * (len(a) - db)
+    for k in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[k + db], lb)
+        if r:
+            raise ArithmeticError("division was not exact")
+        quo[k] = c
+        if c:
+            for j in range(db):
+                rem[k + j] -= c * b[j]
+    if any(rem[:db]):
+        raise ArithmeticError("division was not exact")
+    return quo
+
+
+def squarefree_int(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's algorithm over Z: f = c * prod g_i^i with the g_i squarefree and coprime.
+
+    Returns the (g_i, i) with deg g_i > 0 in increasing multiplicity, each
+    g_i primitive with a positive leading coefficient.  Every gcd is a
+    primitive PRS and every quotient an exact division over Z (Gauss's
+    lemma), so no rational number is built.
+    """
+    if len(f) < 2:
+        return []
+    d = _derivative(f)
+    g0 = _gcd(f, d)
+    w, y = _exact_quo(f, g0), _exact_quo(d, g0)
+    out = []
+    i = 1
+    while len(w) > 1:
+        z = _sub(y, _derivative(w))
+        g = _gcd(w, z)  # 1 when nothing has multiplicity i
+        if len(g) > 1:
+            out.append((g, i))
+        w, y = _exact_quo(w, g), _exact_quo(z, g)
+        i += 1
+    return out
 
 
 def squarefree_decomposition(p: QPoly) -> list[tuple[QPoly, int]]:
     """Yun's algorithm: p = c * prod g_i^i with the g_i squarefree, coprime.
 
     Returns the nontrivial (g_i monic, i) pairs in increasing multiplicity.
+    The work runs over Z on the primitive integer part of p.
     """
-    if p.is_zero() or p.degree == 0:
-        return []
-    p = p.monic()
-    d = p.derivative()
-    g0 = qpoly_gcd(p, d)
-    w = p.exact_div(g0)
-    y = d.exact_div(g0)
-    out: list[tuple[QPoly, int]] = []
-    i = 1
-    while w.degree > 0:
-        z = y - w.derivative()
-        g = qpoly_gcd(w, z)  # monic; equals 1 when nothing has multiplicity i
-        if g.degree > 0:
-            out.append((g, i))
-        w = w.exact_div(g)
-        y = z.exact_div(g)
-        i += 1
-    return out
+    return [(QPoly(tuple(g)).monic(), i) for g, i in squarefree_int(list(p.primitive_int()))]
 
 
 def factor_multiplicities(p: QPoly) -> list[tuple[QPoly, int]]:
     """Irreducible factors over Q with their multiplicities, sorted by (degree, coeffs).
 
-    Each part of the squarefree decomposition is factored once over Z by
+    Each part of the squarefree decomposition over Z is factored once by
     Zassenhaus' method, which makes no random choice.  Every factor is
     integer-primitive with a positive leading coefficient.  The parts are
     coprime, so no factor is listed twice.
     """
+    from ._zassenhaus import _factor_squarefree
+
     out = [
         (QPoly(tuple(f)), mult)
-        for g, mult in squarefree_decomposition(p)
-        for f in _factor_squarefree(list(g.primitive_int()))
+        for g, mult in squarefree_int(list(p.primitive_int()))
+        for f in _factor_squarefree(g)
     ]
     return sorted(out, key=lambda fm: (fm[0].degree, fm[0].coeffs))
 
@@ -432,254 +514,3 @@ def u_resultant_prs(f: UPoly, g: UPoly) -> QPoly:
             else:
                 res = num.exact_div(hh ** (dA - 1))
             return res if s == 1 else -res
-
-
-# ---------------------------------------------------------------------------
-# factoring over Z (von zur Gathen and Gerhard, Modern Computer Algebra,
-# ch. 14-16).  Integer polynomials are lists of ints in ascending powers;
-# reduced modulo m, their coefficients lie in [0, m) with no trailing zeros.
-
-
-def _mod(a: list[int], m: int) -> list[int]:
-    out = [c % m for c in a]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _add(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
-def _sub(a: list[int], b: list[int]) -> list[int]:
-    return _add(a, [-c for c in b])
-
-
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _divmod_mod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder modulo m; lc(b) must be a unit mod m."""
-    rem = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], -1, m)
-    quo = [0] * max(len(rem) - db, 0)
-    for k in range(len(quo) - 1, -1, -1):
-        c = rem[k + db] * inv % m
-        quo[k] = c
-        if c:
-            for j in range(db):
-                rem[k + j] -= c * b[j]
-    return _mod(quo, m), _mod(rem[:db], m)
-
-
-def _monic_mod(a: list[int], m: int) -> list[int]:
-    inv = pow(a[-1], -1, m)
-    return _mod([c * inv for c in a], m)
-
-
-def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd over F_p."""
-    while b:
-        a, b = b, _divmod_mod(a, b, p)[1]
-    return _monic_mod(a, p)
-
-
-def _gf_bezout(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """s, t with s a + t b = 1 over F_p, for coprime a and b."""
-    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
-    while r1:
-        q, r = _divmod_mod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _mod(_sub(s0, _mul(q, s1)), p)
-        t0, t1 = t1, _mod(_sub(t0, _mul(q, t1)), p)
-    inv = pow(r0[0], -1, p)  # the gcd is a nonzero constant
-    return _mod([c * inv for c in s0], p), _mod([c * inv for c in t0], p)
-
-
-def _gf_nullspace(mat: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of {v : mat v = 0} over F_p, one vector per free column, in column order."""
-    rows = [list(r) for r in mat]
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    for col in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[col]:
-                c = row[col]
-                rows[i] = [(x - c * y) % p for x, y in zip(row, rows[r])]
-        pivots.append(col)
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        v = [0] * ncols
-        v[free] = 1
-        for r, col in enumerate(pivots):
-            v[col] = -rows[r][free] % p
-        basis.append(v)
-    return basis
-
-
-def _berlekamp(f: list[int], p: int) -> list[list[int]]:
-    """Monic irreducible factors over F_p of a monic squarefree f (Berlekamp)."""
-    n = len(f) - 1
-    xp, base, e = [1], [0, 1], p
-    while e:
-        if e & 1:
-            xp = _divmod_mod(_mul(xp, base), f, p)[1]
-        e >>= 1
-        if e:
-            base = _divmod_mod(_mul(base, base), f, p)[1]
-    # row i of Q - I is x^(i p) - x^i mod f.  A g of degree < n satisfies
-    # g^p = g mod f exactly when its coefficient vector is in the left kernel
-    # of Q - I; the kernel's dimension is the number of irreducible factors,
-    # and gcd(f, g - s) over s in F_p splits f.
-    rows, power = [], [1]
-    for i in range(n):
-        row = power + [0] * (n - len(power))
-        row[i] -= 1
-        rows.append([c % p for c in row])
-        power = _divmod_mod(_mul(power, xp), f, p)[1]
-    kernel = _gf_nullspace([list(col) for col in zip(*rows)], p)
-    factors = [f]
-    for v in kernel[1:]:  # kernel[0] is the constant 1
-        if len(factors) == len(kernel):
-            break
-        split = []
-        for g in factors:
-            for s in range(p):
-                if len(g) <= 2:
-                    break
-                h = _gf_gcd(g, _mod(_sub(v, [s]), p), p)
-                if len(h) == len(g):
-                    break
-                if len(h) > 1:
-                    split.append(h)
-                    g = _divmod_mod(g, h, p)[0]
-            split.append(g)
-        factors = split
-    return factors
-
-
-def _hensel_step(f, g, h, s, t, m):
-    """From f = g h and s g + t h = 1 mod m, h monic, the same mod m^2 (MCA 14.30)."""
-    mm = m * m
-    e = _mod(_sub(f, _mul(g, h)), mm)
-    q, r = _divmod_mod(_mul(s, e), h, mm)
-    g = _mod(_add(g, _add(_mul(t, e), _mul(q, g))), mm)
-    h = _mod(_add(h, r), mm)
-    b = _mod(_sub(_add(_mul(s, g), _mul(t, h)), [1]), mm)
-    c, d = _divmod_mod(_mul(s, b), h, mm)
-    s = _mod(_sub(s, d), mm)
-    t = _mod(_sub(t, _add(_mul(t, b), _mul(c, g))), mm)
-    return g, h, s, t
-
-
-def _hensel_lift(f: list[int], factors: list[list[int]], p: int, m: int) -> list[list[int]]:
-    """Monic g_i = factors[i] mod p with f = lc(f) prod g_i mod m, for m = p^(2^k).
-
-    The factors are lifted down a balanced tree (MCA 15.17): f = g h with g
-    carrying the first half and lc(f), h the second half.
-    """
-    if len(factors) == 1:
-        return [_monic_mod(f, m)]
-    k = len(factors) // 2
-    g, h = _mod([f[-1]], p), [1]
-    for a in factors[:k]:
-        g = _mod(_mul(g, a), p)
-    for a in factors[k:]:
-        h = _mod(_mul(h, a), p)
-    s, t = _gf_bezout(g, h, p)
-    q = p
-    while q < m:
-        g, h, s, t = _hensel_step(f, g, h, s, t, q)
-        q *= q
-    return _hensel_lift(g, factors[:k], p, m) + _hensel_lift(h, factors[k:], p, m)
-
-
-def _primitive(a: list[int]) -> list[int]:
-    g = 0
-    for c in a:
-        g = int_gcd(g, c)
-    if a[-1] < 0:
-        g = -g
-    return [c // g for c in a]
-
-
-def _factor_squarefree(f: list[int]) -> list[list[int]]:
-    """Irreducible factors over Z of a squarefree primitive f with lc(f) > 0 (MCA 15.19).
-
-    The prime is the smallest one that divides neither lc(f) nor the
-    discriminant, so f mod p is squarefree of full degree.  Its factors
-    mod p are lifted past 2 B, where B = sqrt(n+1) 2^n |f|_max lc(f)
-    bounds |g|_1 |h|_1 for every g h = lc(f) f* with f* | f.  Subsets of
-    the lifted factors are tried in a fixed order, smallest first: a subset
-    is a true factor when the product of the 1-norms of b prod(subset) and
-    b prod(rest), taken in the symmetric range mod p^k, is at most B.
-    """
-    n = len(f) - 1
-    if n == 1:
-        return [f]
-    p = 1
-    while True:
-        p += 1
-        if any(p % d == 0 for d in range(2, isqrt(p) + 1)) or f[-1] % p == 0:
-            continue
-        fp = _monic_mod(f, p)
-        if len(_gf_gcd(fp, _mod([i * c for i, c in enumerate(fp)][1:], p), p)) == 1:
-            break
-    modular = _berlekamp(fp, p)
-    if len(modular) == 1:
-        return [f]
-    bound = (isqrt(n + 1) + 1) * 2 ** n * max(abs(c) for c in f) * f[-1]
-    m = p
-    while m <= 2 * bound:
-        m *= m
-    lifted = _hensel_lift(f, modular, p, m)
-
-    def scaled(b, indices):
-        acc = [b]
-        for i in indices:
-            acc = _mod(_mul(acc, lifted[i]), m)
-        return [c - m if 2 * c > m else c for c in acc]
-
-    out = []
-    s = 1
-    while 2 * s <= len(lifted):
-        b = f[-1]
-        for subset in combinations(range(len(lifted)), s):
-            g = scaled(b, subset)
-            # g(0) h(0) = b f(0) for a true factor g
-            if f[0] and (not g[0] or b * f[0] % g[0]):
-                continue
-            rest = [i for i in range(len(lifted)) if i not in subset]
-            h = scaled(b, rest)
-            if sum(map(abs, g)) * sum(map(abs, h)) <= bound:
-                out.append(_primitive(g))
-                f = _primitive(h)
-                lifted = [lifted[i] for i in rest]
-                break
-        else:
-            s += 1
-    out.append(f)
-    return out

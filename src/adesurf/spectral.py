@@ -19,15 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from ._linalg import rank
+from ._linalg import exact, rank
 from .errors import AdesurfError, DegreeDataError, NonReducedCoverError
 from .lattice import KIND_HIRZEBRUCH, LatticeClass, SurfaceModel
 from .qpoly import (
     QPoly,
     factor_multiplicities,
     linear_roots,
-    squarefree_decomposition,
+    squarefree_int,
     u_degree,
     u_derivative,
     u_resultant_prs,
@@ -53,11 +54,6 @@ class CoverPoly:
 
     def as_upoly(self) -> list[QPoly]:
         return list(self.coeffs) + [QPoly.one()]
-
-    def specialize(self, t0) -> QPoly:
-        """F(t0, u) as a monic polynomial in u over Q."""
-        vals = [c(t0) for c in self.coeffs] + [Fraction(1)]
-        return QPoly(tuple(vals))
 
 
 def discriminant(cover: CoverPoly, method: str = "prs") -> QPoly:
@@ -86,13 +82,20 @@ def fiber_profile(cover: CoverPoly, t0) -> tuple[int, ...]:
 
     Multiplicity structure over the complex numbers is read off from the
     squarefree decomposition over Q: a squarefree factor of degree d at
-    multiplicity m contributes d parts equal to m.
+    multiplicity m contributes d parts equal to m.  At t0 = p/q the work
+    runs on q^D F(p/q, u), D the largest t-degree of a coefficient, which
+    has integer coefficients when the cover does.
     """
-    p = cover.specialize(t0)
+    t0 = exact(t0)
+    p, q = t0.numerator, t0.denominator
+    polys = cover.as_upoly()
+    top = max(c.degree for c in polys)
+    weights = [p**j * q ** (top - j) for j in range(top + 1)]
+    f = QPoly(tuple(sum(map(mul, c.coeffs, weights)) for c in polys)).primitive_int()
     parts: list[int] = []
-    for g, mult in squarefree_decomposition(p):
-        parts.extend([mult] * g.degree)
-    if sum(parts) != p.degree:
+    for g, mult in squarefree_int(list(f)):
+        parts.extend([mult] * (len(g) - 1))
+    if sum(parts) != cover.n:
         raise AdesurfError("squarefree decomposition lost degree; arithmetic bug")
     return tuple(sorted(parts, reverse=True))
 

@@ -124,11 +124,12 @@ def transform(
             )
 
     shift = model.zero() if twist_mode == TWIST_RAW else -model.base_class
+    point_blocks = datum.point_blocks()
     summands: list[tuple[LatticeClass, int]] = []
     blocks_out = []
     idx = 1
     gid = 0
-    for p, mult in datum.point_blocks():
+    for p, mult in point_blocks:
         classes = [model.exceptional(i) + shift for i in range(idx, idx + mult)]
         idx += mult
         if mult == 1:
@@ -145,7 +146,7 @@ def transform(
 
     entries = []
     cursor = 0
-    for p, mult in datum.point_blocks():
+    for p, mult in point_blocks:
         block_degs = set(degs[cursor : cursor + mult])
         cursor += mult
         entries.append(

@@ -38,10 +38,20 @@ with their true images, which carry 1/2.  They read only a ring's
 variables, relations and basis, so the package's integer arithmetic and
 memoised normal forms are tested against them.
 
+``euclid_gcd`` and ``yun_over_q`` are the squarefree decomposition over Q
+as the package first computed it: Yun's algorithm with every gcd a monic
+Euclid over Q, so every remainder is made monic by Fraction division.
+The package's run over Z, with primitive PRS gcds, is tested against them.
+
+``dense_pair`` pairs two classes through the whole dense Gram matrix of
+their model, and ``dense_dual`` is the dense product Gram * c; the
+package's sparse pairing rows are tested against them.
+
 ``sympy_poly`` and ``qpoly_of`` convert a QPoly to a ``sympy.Poly`` in t
 over QQ and back, so the package's polynomial arithmetic can be tested
 against sympy's.  ``sympy_resultant`` is the resultant in u of two
 polynomials with QPoly coefficients, by ``sympy.resultant``.
+``sympy_sqf`` is the squarefree decomposition by sympy's ``sqf_list``.
 ``sympy_factors`` factors a polynomial over Q with sympy's ``factor_list``;
 the package's own Zassenhaus factoring is tested against it.  sympy is
 needed only here, and is imported on the first call.
@@ -54,7 +64,7 @@ from fractions import Fraction
 from math import isqrt
 
 from adesurf._linalg import signature_symmetric
-from adesurf.errors import AdesurfError, EnumerationBoundError, OrbitCapExceededError
+from adesurf.errors import AdesurfError, BasisMismatchError, EnumerationBoundError, OrbitCapExceededError
 from adesurf.lattice import LatticeClass
 from adesurf.linesroots import _positivity_functional
 
@@ -538,6 +548,12 @@ def sympy_resultant(f, g):
     return qpoly_of(sympy.Poly(sympy.resultant(expr(f), expr(g), u), t, domain="QQ"))
 
 
+def sympy_sqf(p):
+    """(monic squarefree part, multiplicity) pairs of a QPoly over Q by sympy, increasing in multiplicity."""
+    _, parts = sympy_poly(p).sqf_list()
+    return sorted(((qpoly_of(g).monic(), k) for g, k in parts), key=lambda gk: gk[1])
+
+
 def sympy_factors(p):
     """(irreducible factor, multiplicity) pairs of a QPoly over Q, by sympy.
 
@@ -551,3 +567,44 @@ def sympy_factors(p):
     _, factors = sympy.factor_list(sympy_poly(p))
     out = [(QPoly(qpoly_of(fac).primitive_int()), mult) for fac, mult in factors]
     return sorted(out, key=lambda fm: (fm[0].degree, fm[0].coeffs))
+
+
+def euclid_gcd(a, b):
+    """Monic gcd over Q of two QPolys, by Euclid's algorithm."""
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    return a.monic() if not a.is_zero() else a
+
+
+def yun_over_q(p):
+    """Yun's algorithm over Q: the nontrivial (g_i monic, i), increasing in i."""
+    if p.is_zero() or p.degree == 0:
+        return []
+    p = p.monic()
+    d = p.derivative()
+    g0 = euclid_gcd(p, d)
+    w = p.exact_div(g0)
+    y = d.exact_div(g0)
+    out = []
+    i = 1
+    while w.degree > 0:
+        z = y - w.derivative()
+        g = euclid_gcd(w, z)
+        if g.degree > 0:
+            out.append((g, i))
+        w = w.exact_div(g)
+        y = z.exact_div(g)
+        i += 1
+    return out
+
+
+def dense_dual(model, c):
+    """Gram * c over the whole dense Gram matrix."""
+    return tuple(sum(g * x for g, x in zip(row, c.coeffs)) for row in model.gram)
+
+
+def dense_pair(model, a, b):
+    """a * b over the whole dense Gram matrix, refusing classes of another basis."""
+    if a.basis_id != model.basis_id or b.basis_id != model.basis_id:
+        raise BasisMismatchError(f"pairing on {model.basis_id!r} got {a.basis_id!r} and {b.basis_id!r}")
+    return sum(x * y for x, y in zip(a.coeffs, dense_dual(model, b)))

@@ -288,6 +288,59 @@ def test_spectral_analyze_rational_cover_stdout(tmp_path, capsys, coeffs, stdout
     assert run_cli(capsys, ["spectral", "analyze", "--cover", str(cover)]) == (0, stdout)
 
 
+# stdout of `spectral analyze` on the eight covers of the classcalc benchmark,
+# pinned by sha256: u^n - (t - a)(t - b)(t^2 + c) for n = 2..5, and products
+# of 2..5 sheets u - (a + b t), whose branch points are mostly not integers
+_BENCH_COVERS = [
+    ("u2-g", "[[4123168602555, -549755813674, -274877906822, -2, -1], []]", "362b60193f1afa42fa550fe8d56b44d66e545254883ea7cda8b379053c618ab9"),
+    ("u3-g", "[[-1924145348258, 1236950581023, -137438953461, 9, -1], [], []]", "9483a3f7d8a5ed63e5f206ee00f961b0d045a057fae5d5660ab806b18cf193dd"),
+    ("u4-g", "[[824633720772, 68719476731, -68719476719, 1, -1], [], [], []]", "0a2de9081aa45ebc6136b6fb4ba5d0b96f1ff9bec82fe4c9bc86f8c6fcf790dd"),
+    ("u5-g", "[[6000000042, -5000000035, -1000000001, -5, -1], [], [], [], []]", "e751b90e4e0ec8dc407a253f0a2988752af01e9c6e6eb8b7f6cc971f0ac0bd3c"),
+    ("2-sheets", "[[3, 5, -2], [-4, -1]]", "ed0163451aa46c11a776d69673f08b0af41c5284cf3817fdc13c6123afe80bab"),
+    ("3-sheets", "[[0, -15, -25, 10], [3, 25, 3], [-4, -6]]", "41fcfda0415de346d08c67d13250e135e7ae3c25bf0b7935d57c7ff518dd4160"),
+    ("4-sheets", "[[0, -30, -35, 45, -10], [6, 32, -44, 7], [-5, 17, 9], [-2, -7]]", "8efdb99e6304efe99cc8571b9b6842fa8c297797fea6bf4d3a221d266331eca2"),
+    ("5-sheets", "[[0, 120, 230, -75, -95, 30], [-24, -176, 45, 149, -31], [26, -21, -131, -20], [3, 51, 30], [-6, -10]]", "3e84566c02b6768d7882c08b8bef5e6006bb6886a004e8e1c41411b4197b7fc6"),
+]
+
+
+@pytest.mark.parametrize("coeffs, digest", [c[1:] for c in _BENCH_COVERS], ids=[c[0] for c in _BENCH_COVERS])
+def test_spectral_analyze_benchmark_covers_stdout_is_pinned(tmp_path, capsys, coeffs, digest):
+    cover = tmp_path / "cover.json"
+    cover.write_text(f'{{"n": {len(json.loads(coeffs))}, "coeffs": {coeffs}}}')
+    code, out = run_cli(capsys, ["spectral", "analyze", "--cover", str(cover)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_transform_run_collided_stdout_is_pinned(tmp_path, capsys):
+    # two blocks of collided sheets: three at 7 and two at 300
+    surface = tmp_path / "s.json"
+    surface.write_text('{"kind": "hirzebruch_blowup", "n": 5}')
+    datum = tmp_path / "d.json"
+    datum.write_text('{"N": 720, "points": [7, 300, 7, 7, 300]}')
+    code, out = run_cli(capsys, ["transform", "run", "--surface", str(surface), "--spectral", str(datum)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4ea07c9684d9a51c5a4dfeb46a2fef9f9c8cba68adcd60520dc3bc6b2e36ea75"
+    )
+
+
+def test_suite_stdout_is_pinned(capsys):
+    code, out = run_cli(capsys, ["suite"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "54e8ff25734844d047928da0b865fe892f740e751f037018ca01ea519e8fb589"
+    )
+
+
+def test_orbit_of_h_on_dp8_stdout_is_pinned(capsys):
+    code, out = run_cli(capsys, ["orbit", "--kind", "p2", "--n", "8", "--class", "[1,0,0,0,0,0,0,0,0]"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "71308975fa6c1284312fdaf1e43d4c6d631c5ce6b0873242774bb5db17a44a3e"
+    )
+
+
 def test_spectral_sen(capsys):
     code, out = run_cli(
         capsys,

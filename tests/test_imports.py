@@ -59,6 +59,29 @@ def test_lines_loads_only_the_enumeration_modules():
     ]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectral", "sen", "--b2", "[0,1]", "--b4", "[1]", "--b6", "[0,1]", "--dL", "1"],
+        ["spectral", "picard", "--n", "4"],
+    ],
+    ids=["sen", "picard"],
+)
+def test_spectral_commands_that_never_factor_skip_the_factoring_module(argv):
+    got = probe(argv)
+    assert got["code"] == 0
+    assert "adesurf.qpoly" in got["adesurf"]
+    assert "adesurf._zassenhaus" not in got["adesurf"]
+
+
+def test_spectral_analyze_loads_the_factoring_module(tmp_path):
+    cover = tmp_path / "cover.json"
+    cover.write_text('{"n": 2, "coeffs": [[0, -1], []]}')
+    got = probe(["spectral", "analyze", "--cover", str(cover)])
+    assert got["code"] == 0
+    assert "adesurf._zassenhaus" in got["adesurf"]
+
+
 def test_schema_error_loads_no_domain_module():
     got = probe(["suite", "--name", "nope"])
     assert got["code"] == 1

@@ -1,9 +1,15 @@
 import random
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adesurf.bundles import boundary_degree
+from adesurf.divisors import _dual
 from adesurf.errors import AdesurfError, BasisMismatchError, UnrelatedModelsError
 from adesurf.lattice import (
+    KIND_HIRZEBRUCH,
     build_surface,
     change_basis,
     hirzebruch_blowup,
@@ -11,8 +17,23 @@ from adesurf.lattice import (
     p2_presentation,
     pair,
 )
+from adesurf.linesroots import enumerate_roots, weight_of
 from adesurf._linalg import signature_symmetric
 from fractions import Fraction
+
+from .oracles import dense_dual, dense_pair
+
+# every model kind: Hirzebruch, plane, and the plane companions of Hirzebruch models
+_MODELS = (
+    [hirzebruch_blowup(n) for n in range(8)]
+    + [p2_blowup(n) for n in range(9)]
+    + [p2_presentation(hirzebruch_blowup(n)) for n in range(8)]
+)
+
+
+@cache
+def _root_datum(model):
+    return enumerate_roots(model, ("K", "f", "b") if model.kind == KIND_HIRZEBRUCH else ("K",))
 
 
 def test_hirzebruch_canonical_class():
@@ -86,6 +107,39 @@ def test_basis_mismatch_rejected():
         pair(a, b)
     with pytest.raises(BasisMismatchError):
         a + b
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sparse_pairing_matches_dense_gram(data):
+    model = data.draw(st.sampled_from(_MODELS), label="model")
+    entry = st.integers(-12, 12) | st.integers(-(10**30), 10**30)
+    vec = st.lists(entry, min_size=model.rank, max_size=model.rank)
+    a, b = model.cls(data.draw(vec, label="a")), model.cls(data.draw(vec, label="b"))
+    assert model.pair(a, b) == pair(a, b) == dense_pair(model, a, b)
+    assert boundary_degree(model, a) == dense_pair(model, a, model.E)
+    assert _dual(model, a) == dense_dual(model, a)
+    datum = _root_datum(model)
+    assert weight_of(datum, a).entries == tuple(dense_pair(model, a, r) for r in datum.simple_roots)
+
+
+@pytest.mark.parametrize(
+    "model, other",
+    [
+        (hirzebruch_blowup(3), p2_presentation(hirzebruch_blowup(3))),
+        (p2_blowup(4), hirzebruch_blowup(3)),
+    ],
+    ids=["hz3-companion", "p2-4-hz3"],
+)
+def test_pairing_refuses_a_class_of_another_basis(model, other):
+    # equal ranks, so only the basis id tells the classes apart
+    assert model.rank == other.rank
+    mine, theirs = model.K, other.K
+    for a, b in ((mine, theirs), (theirs, mine), (theirs, theirs)):
+        with pytest.raises(BasisMismatchError):
+            model.pair(a, b)
+    with pytest.raises(BasisMismatchError):
+        boundary_degree(model, theirs)
 
 
 def test_change_basis_dictionary():

@@ -7,17 +7,26 @@ from hypothesis import strategies as st
 
 from adesurf.qpoly import (
     QPoly,
+    _gcd,
     factor_multiplicities,
     irreducible_factors,
-    qpoly_gcd,
     rational_roots,
     squarefree_decomposition,
+    squarefree_int,
     u_derivative,
     u_resultant_prs,
     u_resultant_sylvester,
 )
 
-from .oracles import qpoly_of, sympy_factors, sympy_poly, sympy_resultant
+from .oracles import (
+    euclid_gcd,
+    qpoly_of,
+    sympy_factors,
+    sympy_poly,
+    sympy_resultant,
+    sympy_sqf,
+    yun_over_q,
+)
 
 
 def _rand_qpoly(rng, max_deg=3, span=4):
@@ -27,6 +36,13 @@ def _rand_qpoly(rng, max_deg=3, span=4):
         else rng.randint(-span, span)
         for _ in range(rng.randint(1, max_deg + 1))
     ))
+
+
+def _gcd_over_z(a, b):
+    """The package's primitive PRS gcd of two QPolys, made monic."""
+    if a.is_zero() and b.is_zero():
+        return a
+    return QPoly(tuple(_gcd(list(a.primitive_int()), list(b.primitive_int())))).monic()
 
 
 def _stored_exactly(p):
@@ -58,7 +74,8 @@ def test_gcd_divides_both():
         a, b, c = _rand_qpoly(rng), _rand_qpoly(rng), _rand_qpoly(rng, 2)
         if c.is_zero():
             continue
-        g = qpoly_gcd(a * c, b * c)
+        g = _gcd_over_z(a * c, b * c)
+        assert g == euclid_gcd(a * c, b * c)
         if g.is_zero():
             continue
         assert (a * c).divmod(g)[1].is_zero()
@@ -108,6 +125,36 @@ def test_squarefree_decomposition():
         ((Fraction(2), Fraction(1)), 1),
         ((Fraction(-1), Fraction(1)), 2),
     ]
+
+
+# one factor as in _FACTOR, with multiplicities up to 4 so that Yun's loop
+# runs past the parts it finds
+_SQF_FACTOR = st.tuples(
+    st.lists(st.integers(-12, 12), min_size=1, max_size=3),
+    st.integers(-6, 6).filter(bool),
+    st.sampled_from((1, 2, 3, 4, 9)),
+    st.integers(1, 4),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_SQF_FACTOR, min_size=1, max_size=4),
+    st.fractions(-40, 40, max_denominator=12).filter(bool),
+)
+def test_squarefree_over_z_matches_q_and_sympy(parts, content):
+    p = QPoly.const(content)
+    for low, lead, den, mult in parts:
+        f = QPoly(tuple(Fraction(c, den) for c in low) + (Fraction(lead, den),))
+        if p.degree + f.degree * mult <= 12:
+            p = p * f**mult
+    got = squarefree_decomposition(p)
+    assert got == yun_over_q(p) == sympy_sqf(p)
+    assert all(g.lc() == 1 and _stored_exactly(g) for g, _ in got)
+    # the integer route gives the primitive parts of the same polynomials
+    ints = squarefree_int(list(p.primitive_int()))
+    assert [(QPoly(tuple(g)).monic(), k) for g, k in ints] == got
+    assert all(g == list(QPoly(tuple(g)).primitive_int()) for g, _ in ints)
 
 
 def test_rational_roots_with_multiplicity():
@@ -214,10 +261,10 @@ def test_arithmetic_matches_sympy(a, b, x):
     if not b.is_zero():
         q, r = a.divmod(b)
         sq, sr = sa.div(sb)
-        gcd_ab = qpoly_gcd(a, b)
+        gcd_ab = _gcd_over_z(a, b)
         results += [q, r, gcd_ab, b.monic(), (a * b).exact_div(b)]
         assert (q, r) == (qpoly_of(sq), qpoly_of(sr))
-        assert gcd_ab == qpoly_of(sa.gcd(sb))
+        assert gcd_ab == euclid_gcd(a, b) == qpoly_of(sa.gcd(sb))
         assert b.monic() == qpoly_of(sb.monic())
         assert (a * b).exact_div(b) == a
     assert all(map(_stored_exactly, results))

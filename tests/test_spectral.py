@@ -1,17 +1,20 @@
 import gc
 import json
+from collections import Counter
 import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adesurf
 
 from adesurf.errors import AdesurfError, DegreeDataError, NonReducedCoverError
 from adesurf.lattice import hirzebruch_blowup, p2_blowup
-from adesurf.qpoly import QPoly
+from adesurf.qpoly import QPoly, squarefree_int
 from adesurf.spectral import (
     CoverPoly,
     branch_report,
@@ -21,7 +24,7 @@ from adesurf.spectral import (
     sen_delta,
 )
 
-from .oracles import sympy_factors
+from .oracles import sympy_factors, sympy_sqf, yun_over_q
 
 T = QPoly.x()
 ONE = QPoly.one()
@@ -164,10 +167,13 @@ def test_branch_report_large_discriminant():
     assert [f for f, _ in sympy_factors(residual)] == list(report.nonrational_factors)
 
 
+FIVE_SHEETS = [(1, 2), (3, -1), (0, 5), (-2, 1), (4, 3)]
+
+
 def _five_sheets():
     # the product of u - (a + b t) over five sheets, as in the benchmark
     f = [ONE]
-    for a, b in [(1, 2), (3, -1), (0, 5), (-2, 1), (4, 3)]:
+    for a, b in FIVE_SHEETS:
         f = [x - QPoly((a, b)) * y for x, y in zip([ZERO] + f, f + [ZERO])]
     return CoverPoly(5, tuple(f[:-1]))
 
@@ -188,6 +194,60 @@ def test_integer_cover_discriminant_builds_no_fraction(monkeypatch, make_cover, 
     monkeypatch.undo()
     assert built == []
     assert {type(c) for c in disc.coeffs} == {int}
+
+
+def test_integer_cover_fiber_profile_builds_no_fraction(monkeypatch):
+    # the five sheets meet at t = 1/3, 1/2, 2/3, ..., three of them at -3: the
+    # fibers there are specialised as q^D F(p/q, u) and split over Z
+    cover = _five_sheets()
+    points = branch_report(cover).branch_points
+    assert any(t.denominator > 1 for t in points)
+    built = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    profiles = [fiber_profile(cover, t) for t in points]
+    parts = squarefree_int(list(discriminant(cover).coeffs))
+    monkeypatch.undo()
+    assert built == []
+    # the sheets through each point, grouped by their value there
+    want = [tuple(sorted(Counter(a + b * t for a, b in FIVE_SHEETS).values(), reverse=True)) for t in points]
+    assert profiles == want
+    assert [(QPoly(tuple(g)).monic(), k) for g, k in parts] == yun_over_q(discriminant(cover))
+
+
+# a sheet u = a + b t of a cover through a chosen value at t0: sheets that
+# share the value meet there
+_SHEET = st.tuples(st.sampled_from((0, Fraction(1, 2), -3)), st.fractions(-4, 4, max_denominator=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(_SHEET, min_size=1, max_size=4),
+    st.lists(st.fractions(-9, 9, max_denominator=4), max_size=3),
+    st.integers(-9, 9),
+    st.integers(2, 7),
+)
+def test_fiber_profile_matches_q_route_and_sympy(sheets, quad, p, q):
+    # the cover: the sheets times u^2 - c(t) with a random rational c
+    t0 = Fraction(p, q)
+    f = [ONE]
+    for value, slope in sheets:
+        root = QPoly((value - slope * t0, slope))
+        f = [x - root * y for x, y in zip([ZERO] + f, f + [ZERO])]
+    c = QPoly(tuple(quad))
+    f = [x - c * y for x, y in zip([ZERO, ZERO] + f, f + [ZERO, ZERO])]
+    cover = CoverPoly(len(f) - 1, tuple(f[:-1]))
+    fiber = QPoly(tuple(coeff(t0) for coeff in f))
+
+    def partition(parts):
+        return tuple(sorted((k for g, k in parts for _ in range(g.degree)), reverse=True))
+
+    assert fiber_profile(cover, t0) == partition(yun_over_q(fiber)) == partition(sympy_sqf(fiber))
 
 
 def _python_calls(fn):
