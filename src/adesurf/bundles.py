@@ -37,27 +37,6 @@ ADJOINT = "adjoint"
 
 
 @dataclass(frozen=True)
-class EGroupPoint:
-    """A point of the boundary curve in the Z/N group model; p_0 is 0."""
-
-    value: int
-    order: int
-
-    def __post_init__(self):
-        if self.order <= 0:
-            raise AdesurfError("group order must be positive")
-        object.__setattr__(self, "value", int(self.value) % self.order)
-
-    def __neg__(self) -> "EGroupPoint":
-        return EGroupPoint((-self.value) % self.order, self.order)
-
-    def __add__(self, other: "EGroupPoint") -> "EGroupPoint":
-        if self.order != other.order:
-            raise AdesurfError("group order mismatch")
-        return EGroupPoint((self.value + other.value) % self.order, self.order)
-
-
-@dataclass(frozen=True)
 class PointEntry:
     point: int
     mult: int

@@ -146,15 +146,17 @@ def load_surface_doc(path: str) -> tuple[SurfaceModel, CollisionConfig]:
     return build_surface(kind, n), CollisionConfig(tuple(pairs))
 
 
-def load_spectral(path: str, strict: bool = False):
+def load_spectral(path: str):
     """Load a spectral datum or a cover polynomial, schema-checked.
 
-    Returns ("datum", SpectralFiberDatum) or ("cover", CoverPoly).
+    Returns ("datum", SpectralFiberDatum) or ("cover", CoverPoly).  A datum
+    that breaks its declared SU constraint loads without it, with a warning.
     """
     doc = read_document(path)
     if not isinstance(doc, dict):
         raise SchemaError("<root>", "expected an object")
     if "points" in doc:
+        from .bundles import check_su_constraint
         from .transform import SpectralFiberDatum
 
         order = _json.parse_int(_json.require(doc, "N"), "N", minimum=1)
@@ -166,12 +168,9 @@ def load_spectral(path: str, strict: bool = False):
             raise SchemaError("n", f"declared {doc['n']} sheets but {len(points)} points")
         su = bool(doc.get("su_constraint", False))
         base_twist = _json.parse_int(doc.get("base_twist_degree", 0), "base_twist_degree")
-        if sum(points) % order != 0:
-            if strict and su:
-                raise SchemaError("points", "SU constraint violated: points do not sum to 0")
-            if su:
-                _warn("SU constraint violated: points do not sum to 0 mod N")
-                su = False
+        if su and not check_su_constraint(points, order):
+            _warn("SU constraint violated: points do not sum to 0 mod N")
+            su = False
         datum = SpectralFiberDatum(
             order=order,
             points=tuple(points),
@@ -430,7 +429,7 @@ def cmd_bundle(args) -> dict:
 
 
 def cmd_restrict(args) -> dict:
-    from .bundles import EMarking, build_tautological, restrict_to_boundary, twist
+    from .bundles import EMarking, build_tautological, check_su_constraint, restrict_to_boundary, twist
 
     model = _model_from_args(args)
     bundle = build_tautological(model, args.rep)
@@ -445,7 +444,7 @@ def cmd_restrict(args) -> dict:
     marking = EMarking(order=args.order, points=tuple((i + 1, p) for i, p in enumerate(points)))
     restricted = restrict_to_boundary(bundle, marking)
     doc = ebundle_doc(restricted)
-    doc["su_constraint_holds"] = sum(points) % args.order == 0
+    doc["su_constraint_holds"] = check_su_constraint(points, args.order)
     return doc
 
 
@@ -501,7 +500,7 @@ def cmd_transform(args) -> dict:
     from .transform import fm_classlevel, required_collisions, transform
 
     model, collisions = load_surface_doc(args.surface)
-    kind, datum = load_spectral(args.spectral, strict=args.strict)
+    kind, datum = load_spectral(args.spectral)
     if kind != "datum":
         raise SchemaError("<root>", "transform expects a spectral datum file with 'points'")
     needed = required_collisions(datum)
@@ -589,7 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("surface", help="model summary: basis, Gram matrix, K")
     _add_model_args(p)
-    p.add_argument("action", nargs="?", default="info", choices=["info"])
     p.add_argument("--collisions", help="collided point pairs 'i,j;k,l'")
     p.add_argument("--p2-basis", action="store_true", help="include the companion plane basis")
     p.set_defaults(func=cmd_surface)
@@ -672,7 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--surface", required=True, help="surface JSON file")
     tr.add_argument("--spectral", required=True, help="spectral datum JSON file")
     tr.add_argument("--twist", default="full", choices=["raw", "minus_l0", "full"])
-    tr.add_argument("--strict", action="store_true")
     tr.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("localmodel", help="graded-ring verification of the branch-locus models")

@@ -748,8 +748,8 @@ class ExtensionChainReport:
             self.failures.append((name, degree))
 
 
-def _kernel_syzygy_checks(maxdeg: int, report: ExtensionChainReport) -> None:
-    """Parts (d) and (e): fiber surjectivity, bookkeeping, kernel shape."""
+def _kernel_syzygy_checks(maxdeg: int, report: ExtensionChainReport) -> DegreeCheck:
+    """Parts (d) and (e): fiber surjectivity and kernel shape; returns whether F_2 is free."""
     fiber = central_fiber_ring(maxdeg)
     cone = cone_ring(maxdeg)
     fx, fy, fz, fs = (fiber.var(v) for v in "xyzs")
@@ -762,10 +762,13 @@ def _kernel_syzygy_checks(maxdeg: int, report: ExtensionChainReport) -> None:
 
     dims_f2, dims_img, dims_ker, dims_ideal = [], [], [], []
     cone_sub = _var_indices(cone, ("x", "y", "z"))
+    free = DegreeCheck(True, None)
 
     for d in range(maxdeg + 1):
         span = module.spanning_elements(d)
         f2_dim = rank(_vectors(fiber, span, d))
+        if free.ok and f2_dim != len(span):
+            free = DegreeCheck(False, d)
 
         imaged = [el.map_to(cone, to_cone) for el in span]
         img_vecs = _vectors(cone, imaged, d)
@@ -778,18 +781,19 @@ def _kernel_syzygy_checks(maxdeg: int, report: ExtensionChainReport) -> None:
         onto = img_dim == ideal_dim and not ideal_span.extend(img_vecs)
         report.record("fiber_restriction_onto_ideal", onto, d)
 
-        ker_dim = f2_dim - img_dim
-        report.record("dimension_additivity", f2_dim == img_dim + ker_dim, d)
-
         # explicit kernel: relations among the images as combinations of the
-        # spanning set, less those already zero in F_2 (span redundancy)
+        # spanning set, less those already zero in F_2 (span redundancy); its
+        # rank must be the rank count dim F_2 - dim image
+        ker_dim = f2_dim - img_dim
         kernel_elements = []
         for combo in _relations(cone, imaged, d):
             el = _combination(fiber, combo, span)
             if not el.is_zero():
                 kernel_elements.append(el)
         kvecs = _vectors(fiber, kernel_elements, d)
-        report.record("kernel_dimension", rank(kvecs) == ker_dim, d)
+        kernel_ok = rank(kvecs) == ker_dim
+        report.record("dimension_additivity", kernel_ok, d)
+        report.record("kernel_dimension", kernel_ok, d)
 
         # every kernel element is s * (polynomial in x, y, z)
         s_index = fiber.var_names.index("s")
@@ -835,10 +839,11 @@ def _kernel_syzygy_checks(maxdeg: int, report: ExtensionChainReport) -> None:
     report.dims["image"] = dims_img
     report.dims["kernel"] = dims_ker
     report.dims["ideal"] = dims_ideal
+    return free
 
 
-def _split_type_checks(maxdeg: int, report: ExtensionChainReport) -> None:
-    """Part (c) of the suite: restriction degrees on the exceptional curve."""
+def _split_type_checks(maxdeg: int, report: ExtensionChainReport, free: DegreeCheck) -> None:
+    """Part (c'): restriction degrees on the exceptional curve; `free` is F_2's freeness."""
     base = base_ring(max(maxdeg, 2))
     bx, by, bz = (base.var(v) for v in "xyz")
 
@@ -860,17 +865,12 @@ def _split_type_checks(maxdeg: int, report: ExtensionChainReport) -> None:
 
     # the verified module is free of rank two on the central fiber, hence
     # restricts trivially; twisting by O(l_1 + l_2) adds (l_1 + l_2) * C = 0
-    fiber = central_fiber_ring(maxdeg)
-    fx, fy, fz, fs = (fiber.var(v) for v in "xyzs")
-    free = check_free(fiber, (fx - fy, fz + fs), ("x", "y", "z"), maxdeg)
     report.record("fiber_module_free", free.ok, free.first_failure_degree)
     twist_deg = l1_deg + l2_deg
     report.record("twist_degree_zero", twist_deg == 0)
-    if free.ok and twist_deg == 0:
-        report.split_pushforward = (0, 0)
-        report.record("pushforward_split", True)
-    else:
-        report.record("pushforward_split", False)
+    split_trivial = free.ok and twist_deg == 0
+    report.split_pushforward = (0, 0) if split_trivial else None
+    report.record("pushforward_split", split_trivial)
 
 
 def verify_extension_chain(maxdeg: int = 8) -> ExtensionChainReport:
@@ -915,27 +915,9 @@ def verify_extension_chain(maxdeg: int = 8) -> ExtensionChainReport:
     report.record("generic_point_smooth", singular_locus_rank([rel], (1, 0, 0, 1)) == 1)
 
     # (d) + (e) the central-fiber sequence
-    _kernel_syzygy_checks(maxdeg, report)
+    fiber_free = _kernel_syzygy_checks(maxdeg, report)
 
     # (c') split types on the exceptional curve
-    _split_type_checks(maxdeg, report)
+    _split_type_checks(maxdeg, report, fiber_free)
 
     return report
-
-
-def branch_pushforward_certificate(maxdeg: int = 6) -> dict:
-    """Certificate consumed by the transform's local-shape query.
-
-    The split types and the fiber module's freeness are read from
-    ``_split_type_checks``; only the upstairs freeness is checked here.
-    """
-    report = ExtensionChainReport(maxdeg=maxdeg)
-    _split_type_checks(maxdeg, report)
-    upstairs = conifold_ring(maxdeg)
-    ux, uy, uz, us = (upstairs.var(v) for v in "xyzs")
-    free_up = check_free(upstairs, (ux - uy, uz + us), ("x", "y", "z"), maxdeg)
-    return {
-        "free_rank_two": report.checks["fiber_module_free"] and free_up.ok,
-        "pushforward_split": report.split_pushforward,
-        "direct_sum_split": report.split_direct_sum,
-    }

@@ -173,7 +173,7 @@ def fm_classlevel(datum: SpectralFiberDatum) -> EBundleClass:
     return EBundleClass(order=datum.order, entries=entries)
 
 
-def marking_for(model: SurfaceModel, datum: SpectralFiberDatum) -> EMarking:
+def marking_for(datum: SpectralFiberDatum) -> EMarking:
     """The sheet-to-line marking used by the transform: l_i -> i-th sorted point."""
     return EMarking(
         order=datum.order,
@@ -189,43 +189,5 @@ def check_restriction_compatibility(model: SurfaceModel, datum: SpectralFiberDat
     must match as well.
     """
     result = transform(model, datum, TWIST_FULL, collisions=required_collisions(datum))
-    restricted = restrict_to_boundary(result.bundle, marking_for(model, datum))
+    restricted = restrict_to_boundary(result.bundle, marking_for(datum))
     return restricted == fm_classlevel(datum)
-
-
-@dataclass(frozen=True)
-class LocalPushforwardClass:
-    """Local shape of the pushed-forward kernel sheaf at a point of the base."""
-
-    rank: int
-    free: bool
-    certified: bool
-    exceptional_split: tuple[int, int] | None = None
-
-    def describe(self) -> str:
-        return f"free of rank {self.rank}"
-
-
-def local_isomorphism_class(multiplicity: int, *, maxdeg: int = 6) -> LocalPushforwardClass:
-    """Pushforward shape at a point where `multiplicity` sheets collide.
-
-    multiplicity 1 is the unramified case; multiplicity 2 is certified by
-    the graded-ring engine (free of rank two on the documented generators,
-    trivial split on the exceptional curve).  Higher multiplicities are
-    reported without a machine certificate.
-    """
-    if multiplicity < 1:
-        raise AdesurfError("multiplicity must be at least 1")
-    if multiplicity == 1:
-        return LocalPushforwardClass(rank=1, free=True, certified=True)
-    if multiplicity == 2:
-        from .localmodel import branch_pushforward_certificate
-
-        cert = branch_pushforward_certificate(maxdeg)
-        return LocalPushforwardClass(
-            rank=2,
-            free=cert["free_rank_two"],
-            certified=cert["free_rank_two"] and cert["pushforward_split"] == (0, 0),
-            exceptional_split=cert["pushforward_split"],
-        )
-    return LocalPushforwardClass(rank=multiplicity, free=True, certified=False)

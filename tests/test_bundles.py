@@ -195,18 +195,3 @@ def test_ebundle_canonical_order():
     b = EBundleClass(order=12, entries=(PointEntry(3, 2, True), PointEntry(5, 1, False)))
     assert a == b
     assert a.rank == 3
-
-
-def test_egroup_point_arithmetic():
-    from adesurf.bundles import EGroupPoint
-
-    p = EGroupPoint(7, 12)
-    q = EGroupPoint(8, 12)
-    assert (p + q).value == 3
-    assert (-p).value == 5
-    assert EGroupPoint(-1, 12).value == 11  # normalized into [0, N)
-    assert EGroupPoint(0, 12).value == 0  # p_0 is the identity
-    with pytest.raises(AdesurfError):
-        EGroupPoint(1, 0)
-    with pytest.raises(AdesurfError):
-        p + EGroupPoint(1, 13)

@@ -18,7 +18,7 @@ def run_cli(capsys, argv):
 
 
 def test_surface_info(capsys):
-    code, out = run_cli(capsys, ["surface", "--kind", "p2", "--n", "6", "info"])
+    code, out = run_cli(capsys, ["surface", "--kind", "p2", "--n", "6"])
     assert code == 0
     doc = json.loads(out)
     assert doc["rank"] == 7
@@ -238,6 +238,16 @@ def test_bundle_and_restrict(capsys):
     assert code == 0
     assert doc["su_constraint_holds"] is True
     assert {p["p"] for p in doc["points"]} == {5, 7}
+
+    code, out = run_cli(
+        capsys,
+        [
+            "restrict", "--kind", "hirzebruch", "--n", "2", "--rep", "vector_d",
+            "--points", "5,6", "--N", "12",
+        ],
+    )
+    assert code == 0
+    assert json.loads(out)["su_constraint_holds"] is False
 
 
 def test_spectral_analyze(tmp_path, capsys):
@@ -576,33 +586,67 @@ def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        run(["spectral", "analyze", "--cover", "cover.json", "--strict"])
-    assert exc.value.code == 2
+    for argv in (
+        ["spectral", "analyze", "--cover", "cover.json", "--strict"],
+        ["transform", "run", "--surface", "s.json", "--spectral", "d.json", "--strict"],
+        ["surface", "--kind", "p2", "--n", "6", "info"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
+
+def _su_violating_run(tmp_path, su_constraint):
+    datum = tmp_path / "d.json"
+    tail = ', "su_constraint": true}' if su_constraint else "}"
+    datum.write_text('{"N": 12, "points": [5, 6]' + tail)
+    surface = tmp_path / "s.json"
+    surface.write_text('{"kind": "hirzebruch_blowup", "n": 2}')
+    return ["transform", "run", "--surface", str(surface), "--spectral", str(datum)]
 
 
 def test_su_warning_not_strict(tmp_path, capsys):
-    datum = tmp_path / "d.json"
-    datum.write_text('{"N": 12, "points": [5, 6], "su_constraint": true}')
-    surface = tmp_path / "s.json"
-    surface.write_text('{"kind": "hirzebruch_blowup", "n": 2}')
-    code, _ = run_cli(
-        capsys,
-        ["transform", "run", "--surface", str(surface), "--spectral", str(datum)],
-    )
-    assert code == 0  # downgraded to a warning on stderr
+    # a broken SU constraint is warned about and dropped; stdout is that of
+    # the same datum without the constraint
+    code = run(_su_violating_run(tmp_path, False))
+    plain = capsys.readouterr()
+    assert (code, plain.err) == (0, "")
+    code = run(_su_violating_run(tmp_path, True))
+    warned = capsys.readouterr()
+    assert code == 0
+    assert warned.out == plain.out
+    assert warned.err == "warning: SU constraint violated: points do not sum to 0 mod N\n"
 
 
-def test_su_violation_strict(tmp_path, capsys):
-    datum = tmp_path / "d.json"
-    datum.write_text('{"N": 12, "points": [5, 6], "su_constraint": true}')
-    surface = tmp_path / "s.json"
-    surface.write_text('{"kind": "hirzebruch_blowup", "n": 2}')
-    code, out = run_cli(
-        capsys,
-        ["transform", "run", "--surface", str(surface), "--spectral", str(datum), "--strict"],
-    )
-    assert code == 1
+def test_su_violation_strict(tmp_path):
+    # there is no strict mode: --strict is a usage error
+    with pytest.raises(SystemExit) as exc:
+        run(_su_violating_run(tmp_path, True) + ["--strict"])
+    assert exc.value.code == 2
+
+
+def test_every_cli_setting_is_read():
+    # each argument a subcommand declares is read as args.<dest> by a handler;
+    # the subcommand selectors only dispatch
+    import argparse
+    import inspect
+
+    from adesurf import cli
+
+    source = inspect.getsource(cli)
+    unread = []
+
+    def walk(parser, path):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, child in action.choices.items():
+                    walk(child, path + [name])
+            elif not isinstance(action, argparse._HelpAction):
+                if f"args.{action.dest}" not in source:
+                    unread.append((" ".join(path), action.dest))
+
+    walk(cli.build_parser(), ["adesurf"])
+    assert unread == []
 
 
 def test_output_file(tmp_path, capsys):

@@ -9,7 +9,6 @@ from adesurf.localmodel import (
     RingElement,
     TruncRing,
     base_ring,
-    branch_pushforward_certificate,
     central_fiber_ring,
     check_free,
     check_generate,
@@ -245,12 +244,18 @@ def test_verify_extension_chain():
         assert report.dims["image"][d] == report.dims["ideal"][d]
 
 
-def test_branch_pushforward_certificate():
-    assert branch_pushforward_certificate(3) == {
-        "free_rank_two": True,
-        "pushforward_split": (0, 0),
-        "direct_sum_split": (-1, 1),
-    }
+def test_kernel_checks_fail_when_a_relation_is_lost(monkeypatch):
+    # the explicit kernel comes from the relations among the images; with
+    # one relation dropped its rank falls short of dim F_2 - dim image
+    from adesurf import localmodel
+
+    relations = localmodel._relations
+    monkeypatch.setattr(localmodel, "_relations", lambda *a: relations(*a)[1:])
+    report = verify_extension_chain(4)
+    failed = {name for name, _ in report.failures}
+    assert {"dimension_additivity", "kernel_dimension"} <= failed
+    assert not report.checks["dimension_additivity"]
+    assert not report.checks["kernel_dimension"]
 
 
 def test_graded_dim_against_exhaustive_reduction():

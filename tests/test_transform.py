@@ -6,11 +6,9 @@ from adesurf.bundles import restrict_to_boundary
 from adesurf.errors import AdesurfError, CollisionConfigError
 from adesurf.lattice import hirzebruch_blowup, p2_blowup
 from adesurf.transform import (
-    LocalPushforwardClass,
     SpectralFiberDatum,
     check_restriction_compatibility,
     fm_classlevel,
-    local_isomorphism_class,
     marking_for,
     required_collisions,
     transform,
@@ -154,15 +152,5 @@ def test_restricted_transform_equals_fm_via_bundles_path():
     m = hirzebruch_blowup(4)
     datum = SpectralFiberDatum(order=60, points=(7, 7, 13, 42))
     res = transform(m, datum, "full", collisions=required_collisions(datum))
-    lhs = restrict_to_boundary(res.bundle, marking_for(m, datum))
+    lhs = restrict_to_boundary(res.bundle, marking_for(datum))
     assert lhs == fm_classlevel(datum)
-
-
-def test_local_isomorphism_class():
-    assert local_isomorphism_class(1) == LocalPushforwardClass(rank=1, free=True, certified=True)
-    desc = local_isomorphism_class(2)
-    assert desc == LocalPushforwardClass(rank=2, free=True, certified=True, exceptional_split=(0, 0))
-    assert desc.describe() == "free of rank 2"
-    assert local_isomorphism_class(3) == LocalPushforwardClass(rank=3, free=True, certified=False)
-    with pytest.raises(AdesurfError):
-        local_isomorphism_class(0)
