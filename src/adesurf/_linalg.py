@@ -10,13 +10,16 @@ monomial times a generator, a handful of nonzeros out of tens or hundreds
 of columns, so the sparse form does work proportional to those nonzeros.
 ``Echelon.add`` is the one place where such a row becomes integral; the
 ring arithmetic runs on ints, so for the built-in rings ``integer_row``
-only drops zeros.  On this path only ``nullspace`` builds Fractions, once,
-when it divides the reduced rows by their pivots.
+only drops zeros.  Back-substitution (``Echelon.reduced``) and the kernel
+(``nullspace``) stay in integers too and hand back primitive integer rows,
+so rank and kernel questions on integer rows build no Fraction.
 
 ``linesroots.coefficient_bounds`` uses the same echelon to drop dependent
 constraints, to detect inconsistent targets and to invert a Gram matrix
-of at most 3x3.  ``signature_symmetric`` counts the inertia of a
-symmetric matrix by congruence, which no echelon of its rows gives.
+of at most 3x3, dividing each reduced row by its pivot entry.
+``signature_symmetric`` counts the inertia of a symmetric matrix by
+congruence, which no echelon of its rows gives; its one quotient is an
+exact Fraction.
 
 ``exact`` is the one rule by which the graded-ring engine and ``qpoly``
 store a rational coefficient: an int when it is integral, else a Fraction.
@@ -28,7 +31,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 Coeff = int | Fraction
-Matrix = list[list[Fraction]]
 SparseRow = dict[int, int]
 
 
@@ -118,11 +120,13 @@ class Echelon:
         """Add each row in turn; the number that were independent."""
         return sum(self.add(row) for row in rows)
 
-    def reduced(self) -> list[tuple[int, dict[int, Fraction]]]:
+    def reduced(self) -> list[tuple[int, SparseRow]]:
         """The reduced row-echelon form as (pivot column, row) pairs by pivot.
 
-        Back-substitution stays in integers; the rows are divided by their
-        pivot entries, the one place Fractions are built, at the end.
+        Each row is back-substituted in integers and returned as it is:
+        primitive, with a positive pivot entry and no entry in another
+        pivot column.  The rational reduced row is the row divided by its
+        pivot entry.
         """
         order = sorted(self.rows)
         rows = {c: dict(self.rows[c]) for c in order}
@@ -131,7 +135,7 @@ class Echelon:
             for qc in order[:i]:
                 if rows[qc].get(pc):
                     rows[qc] = _cancel(rows[qc], rows[pc], pc)
-        return [(c, {k: Fraction(v, rows[c][c]) for k, v in rows[c].items()}) for c in order]
+        return [(c, rows[c]) for c in order]
 
 
 def rank(mat) -> int:
@@ -139,36 +143,40 @@ def rank(mat) -> int:
     return Echelon().extend(mat)
 
 
-def nullspace(mat, ncols: int) -> list[list[Fraction]]:
+def nullspace(mat, ncols: int) -> list[SparseRow]:
     """Basis of the right kernel of `mat`, a matrix with `ncols` columns.
 
-    There is one basis vector per free column, in column order, with a 1
-    there and minus the reduced rows' entries at the pivots.  The reduced
-    form is unique, so the basis is too.
+    There is one primitive integer row ``{column: value}`` per free column,
+    in column order: positive at its free column, zero at the others, and
+    a multiple of minus the reduced rows' entries at the pivots.  The
+    reduced form is unique, so the basis is too.
     """
     ech = Echelon()
     ech.extend(mat)
     red = ech.reduced()
-    zero = Fraction(0)
     basis = []
     for fc in range(ncols):
         if fc in ech.rows:
             continue
-        v = [zero] * ncols
-        v[fc] = Fraction(1)
-        for pc, row in red:
-            v[pc] = -row.get(fc, zero)
-        basis.append(v)
+        # the rational vector is 1 at fc and -row[fc] / row[pc] at each pivot
+        hits = [(pc, row[pc], row[fc]) for pc, row in red if fc in row]
+        den = lcm(*(p for _, p, _ in hits))
+        v = {pc: -f * (den // p) for pc, p, f in hits}
+        v[fc] = den
+        g = gcd(*v.values())
+        basis.append({c: v[c] // g for c in sorted(v)})
     return basis
 
 
-def signature_symmetric(gram: Matrix) -> tuple[int, int, int]:
+def signature_symmetric(gram) -> tuple[int, int, int]:
     """Sylvester signature (n_plus, n_minus, n_zero) of a symmetric matrix.
 
-    Uses congruence elimination; when a diagonal entry vanishes but its row
-    does not, a hyperbolic row/column addition makes it usable.
+    The rows may hold ints or Fractions.  Uses congruence elimination; when
+    a diagonal entry vanishes but its row does not, a hyperbolic row/column
+    addition makes it usable.  Each elimination factor is an exact
+    Fraction, built only for a nonzero entry.
     """
-    m = [row[:] for row in gram]
+    m = [list(row) for row in gram]
     n = len(m)
     pos = neg = zero = 0
     used = [False] * n
@@ -208,8 +216,8 @@ def signature_symmetric(gram: Matrix) -> tuple[int, int, int]:
         for i in range(n):
             if i == k or used[i]:
                 continue
-            f = m[i][k] / d
-            if f != 0:
+            if m[i][k]:
+                f = Fraction(m[i][k], d)
                 for c in range(n):
                     m[i][c] -= f * m[k][c]
                 for r in range(n):

@@ -14,33 +14,13 @@ from __future__ import annotations
 from itertools import combinations
 from math import isqrt
 
-from .qpoly import _primitive, _sub
+from .qpoly import _add, _mul, _primitive, _sub
 
 
 def _mod(a: list[int], m: int) -> list[int]:
     out = [c % m for c in a]
     while out and not out[-1]:
         out.pop()
-    return out
-
-
-def _add(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
-def _mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
     return out
 
 

@@ -25,7 +25,6 @@ in this module ever rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import add, neg, sub
 
@@ -180,9 +179,7 @@ class SurfaceModel:
             for j in range(r):
                 if self.gram[i][j] != self.gram[j][i]:
                     raise AdesurfError("gram matrix not symmetric")
-        pos, neg, zero = signature_symmetric(
-            [[Fraction(x) for x in row] for row in self.gram]
-        )
+        pos, neg, zero = signature_symmetric(self.gram)
         if (pos, neg, zero) != (1, r - 1, 0):
             raise AdesurfError(f"signature {(pos, neg, zero)} is not (1, rank-1, 0)")
         kk = self.pair(self.K, self.K)

@@ -127,7 +127,7 @@ def coefficient_bounds(
     # gram_U is nondegenerate, so [gram_U | I] reduces to [I | gram_U^-1]
     inverse = Echelon()
     inverse.extend(row + [int(a == b) for b in range(k)] for a, row in enumerate(gram_u))
-    inv = [[row.get(k + b, 0) for b in range(k)] for _, row in inverse.reduced()]
+    inv = [[Fraction(row.get(k + b, 0), row[c]) for b in range(k)] for c, row in inverse.reduced()]
 
     coeffs = [sum(g * t for g, t in zip(row, targets)) for row in inv]
     x_u = [sum(c * u[i] for c, u in zip(coeffs, u_vecs)) for i in range(r)]

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 
-from ._linalg import Coeff, Echelon, exact, integer_row, nullspace, rank
+from ._linalg import Coeff, Echelon, exact, nullspace, rank
 from .errors import AdesurfError, RingConstructionError
 
 Monomial = tuple[int, ...]
@@ -472,7 +472,7 @@ def _vectors(ring: TruncRing, elements: list[RingElement], d: int) -> list[dict[
 
     The rows are not scaled here: ``Echelon.add`` makes each row integral
     when it reduces it.  Relations among the elements come from
-    ``_relations``.
+    ``_relation_rows``.
     """
     index = {m: i for i, m in enumerate(ring.basis(d))}
     return [dict(_columns(index, el)) for el in elements]
@@ -482,7 +482,7 @@ def _relation_rows(ring: TruncRing, elements: list[RingElement], d: int) -> list
     """Transposed coordinates: one sparse row per basis monomial, one column per element.
 
     The right kernel of these rows is the space of linear relations among
-    the elements.
+    the elements; ``nullspace`` gives it as primitive integer combinations.
     """
     basis = ring.basis(d)
     index = {m: i for i, m in enumerate(basis)}
@@ -491,12 +491,6 @@ def _relation_rows(ring: TruncRing, elements: list[RingElement], d: int) -> list
         for col, coeff in _columns(index, el):
             rows[col][j] = coeff
     return rows
-
-
-def _relations(ring: TruncRing, elements: list[RingElement], d: int) -> list[dict[int, int]]:
-    """A basis of the linear relations among the elements, each scaled to an integer row."""
-    null = nullspace(_relation_rows(ring, elements, d), len(elements))
-    return [integer_row(combo) for combo in null]
 
 
 def _combination(ring: TruncRing, combo: dict[int, Coeff], elements: list[RingElement]) -> RingElement:
@@ -576,7 +570,7 @@ def singular_locus_rank(relation_polys, point) -> int:
     if not polys:
         return 0
     ring = polys[0].ring
-    point = [Fraction(p) for p in point]
+    point = [exact(p) for p in point]
     if len(point) != ring.nvars:
         raise AdesurfError("point arity does not match the ring")
     rows = []
@@ -786,7 +780,7 @@ def _kernel_syzygy_checks(maxdeg: int, report: ExtensionChainReport) -> DegreeCh
         # rank must be the rank count dim F_2 - dim image
         ker_dim = f2_dim - img_dim
         kernel_elements = []
-        for combo in _relations(cone, imaged, d):
+        for combo in nullspace(_relation_rows(cone, imaged, d), len(imaged)):
             el = _combination(fiber, combo, span)
             if not el.is_zero():
                 kernel_elements.append(el)
@@ -813,7 +807,7 @@ def _kernel_syzygy_checks(maxdeg: int, report: ExtensionChainReport) -> DegreeCh
             pad = [cone.zero()] * len(mons)
             cols = [cz * m for m in mons] + [(cx - cy) * m for m in mons]
             syz_pairs = []
-            for combo in _relations(cone, cols, d):
+            for combo in nullspace(_relation_rows(cone, cols, d), len(cols)):
                 h = _combination(cone, combo, mons + pad)
                 g = _combination(cone, combo, pad + mons)
                 if not (h.is_zero() and g.is_zero()):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 
 from ._linalg import Coeff, exact
 
@@ -99,13 +99,7 @@ class QPoly:
 
     # -- ring operations -----------------------------------------------------
     def __add__(self, other: "QPoly") -> "QPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(tuple(out))
+        return QPoly(_add(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "QPoly":
         return QPoly(tuple(-c for c in self.coeffs))
@@ -116,15 +110,7 @@ class QPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return QPoly(tuple(other * c for c in self.coeffs))
-        if self.is_zero() or other.is_zero():
-            return QPoly(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return QPoly(tuple(out))
+        return QPoly(_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -168,7 +154,7 @@ class QPoly:
         return q
 
     def derivative(self) -> "QPoly":
-        return QPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return QPoly(_derivative(self.coeffs))
 
     def monic(self) -> "QPoly":
         if self.is_zero():
@@ -181,17 +167,8 @@ class QPoly:
         """Integer-primitive version with positive leading coefficient."""
         if self.is_zero():
             return ()
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = int_gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        if ints[-1] < 0:
-            ints = [-v for v in ints]
-        return tuple(ints)
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return tuple(_primitive([c.numerator * (den // c.denominator) for c in self.coeffs]))
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -210,7 +187,29 @@ class QPoly:
 
 
 # ---------------------------------------------------------------------------
-# integer polynomials: lists of ints in ascending powers, no trailing zeros
+# integer polynomials: lists of ints in ascending powers, no trailing zeros.
+# _add, _mul and _derivative also serve QPoly's coefficient tuples, whose
+# entries may be Fractions.
+
+
+def _add(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return out
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def _sub(a: list[int], b: list[int]) -> list[int]:

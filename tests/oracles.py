@@ -52,6 +52,10 @@ over QQ and back, so the package's polynomial arithmetic can be tested
 against sympy's.  ``sympy_resultant`` is the resultant in u of two
 polynomials with QPoly coefficients, by ``sympy.resultant``.
 ``sympy_sqf`` is the squarefree decomposition by sympy's ``sqf_list``.
+``sympy_inertia`` counts the inertia of a symmetric matrix from its exact
+characteristic polynomial by Descartes' rule of signs.  The package's
+congruence elimination is tested against it, and the dense bounds
+oracle's definiteness test uses it.
 ``sympy_factors`` factors a polynomial over Q with sympy's ``factor_list``;
 the package's own Zassenhaus factoring is tested against it.  sympy is
 needed only here, and is imported on the first call.
@@ -63,7 +67,6 @@ import itertools
 from fractions import Fraction
 from math import isqrt
 
-from adesurf._linalg import signature_symmetric
 from adesurf.errors import AdesurfError, BasisMismatchError, EnumerationBoundError, OrbitCapExceededError
 from adesurf.lattice import LatticeClass
 from adesurf.linesroots import _positivity_functional
@@ -243,7 +246,7 @@ def _is_negative_definite(gram) -> bool:
     n = len(gram)
     if n == 0:
         return True
-    pos, neg, zero = signature_symmetric(gram)
+    pos, neg, zero = sympy_inertia(gram)
     return neg == n and pos == 0 and zero == 0
 
 
@@ -546,6 +549,33 @@ def sympy_resultant(f, g):
         return sum(sympy_poly(c).as_expr() * u**i for i, c in enumerate(h))
 
     return qpoly_of(sympy.Poly(sympy.resultant(expr(f), expr(g), u), t, domain="QQ"))
+
+
+def sympy_inertia(gram):
+    """(n_plus, n_minus, n_zero) of a symmetric matrix of ints/Fractions, by sympy.
+
+    The characteristic polynomial of a real symmetric matrix has only real
+    roots, so Descartes' rule of signs counts its positive roots exactly,
+    and applied to p(-x) its negative ones; 0 is a root of the multiplicity
+    of the lowest nonzero coefficient.  sympy's ``charpoly`` is exact on
+    rational entries.
+    """
+    import sympy
+
+    n = len(gram)
+    mat = sympy.Matrix(n, n, lambda i, j: sympy.Rational(gram[i][j].numerator, gram[i][j].denominator))
+    coeffs = list(reversed(mat.charpoly().all_coeffs()))  # ascending powers
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    zero = next(i for i, c in enumerate(coeffs) if c != 0)
+    return (
+        sign_changes(coeffs),
+        sign_changes([-c if i % 2 else c for i, c in enumerate(coeffs)]),
+        zero,
+    )
 
 
 def sympy_sqf(p):

@@ -1,13 +1,17 @@
-"""The sparse integer echelon against dense Fraction elimination."""
+"""The sparse integer echelon against dense Fraction elimination, and exact inertia."""
 
+import ast
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adesurf._linalg import Echelon, integer_row, nullspace, rank
+import adesurf
+from adesurf._linalg import Echelon, integer_row, nullspace, rank, signature_symmetric
 
-from .oracles import dense_nullspace, dense_rank, dense_rows
+from .oracles import dense_nullspace, dense_rank, dense_rows, sympy_inertia
 
 _HUGE = 10**30
 
@@ -48,7 +52,12 @@ def sparse_matrices(draw):
 
 
 def _identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return [{i: 1} for i in range(n)]
+
+
+def _integer_kernel(dense):
+    """The dense oracle's kernel basis, each vector scaled to a primitive integer row."""
+    return [integer_row(v) for v in dense_nullspace(dense)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -58,12 +67,17 @@ def test_rank_and_kernel_match_dense_oracle(case):
     before = [dict(r) for r in rows]
     dense = dense_rows(rows, ncols)
     want_rank = dense_rank(dense)
-    want_kernel = dense_nullspace(dense) if dense else _identity(ncols)
+    want_kernel = _integer_kernel(dense) if dense else _identity(ncols)
     assert rank(rows) == want_rank
     assert rank(dense) == want_rank
-    assert nullspace(rows, ncols) == want_kernel
+    kernel = nullspace(rows, ncols)
+    assert kernel == want_kernel
+    for v in kernel:
+        assert all(type(x) is int for x in v.values())
+        assert list(v) == sorted(v)
+        assert gcd(*v.values()) == 1
     if dense:
-        assert nullspace(dense, ncols) == dense_nullspace(dense)
+        assert nullspace(dense, ncols) == want_kernel
     assert rows == before  # the caller's rows are not modified
 
 
@@ -96,10 +110,10 @@ def test_integer_row_keeps_the_line(case):
 
 def test_empty_and_zero_column_matrices():
     assert rank([]) == 0
-    assert nullspace([], 0) == dense_nullspace([]) == []
+    assert nullspace([], 0) == _integer_kernel([]) == []
     assert nullspace([], 3) == _identity(3)
     assert rank([[], []]) == 0
-    assert nullspace([[], []], 0) == dense_nullspace([[], []]) == []
+    assert nullspace([[], []], 0) == _integer_kernel([[], []]) == []
     assert rank([{}, {}]) == 0
     assert nullspace([{}, {}], 2) == _identity(2)
 
@@ -121,4 +135,54 @@ def test_forward_elimination_builds_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     ech = Echelon()
     assert [ech.add(row) for row in rows] == [True, True, False, True]
+    assert ech.reduced() == [
+        (0, {0: 21 * _HUGE // 2, 3: -22 * _HUGE - 7}),
+        (1, {1: 9 * _HUGE, 3: _HUGE + 1}),
+        (2, {2: 7 * _HUGE // 4, 3: 109 * _HUGE // 4 + 7}),
+    ]
+    assert nullspace(rows, 4) == [{0: 132 * _HUGE + 42, 1: -7 * _HUGE - 7, 2: -981 * _HUGE - 252, 3: 63 * _HUGE}]
+    assert nullspace([[2, 4, 0, 6], [0, 3, 3, 0]], 4) == [{0: 2, 1: -1, 2: 1}, {0: -3, 3: 1}]
     assert built == []
+
+
+def test_signature_is_exact_on_int_matrices():
+    # the last pivot is -12 + 3/4 * 16 = 0; with float quotients it came out -1.8e-15, giving (1, 2, 0)
+    assert signature_symmetric([[3, 7, -3], [7, -5, 9], [-3, 9, -9]]) == (1, 1, 1)
+    assert signature_symmetric(((3, 7, -3), (7, -5, 9), (-3, 9, -9))) == (1, 1, 1)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric matrices up to 8x8: int, rational, zero-diagonal, or a low-rank sum of +-v v^T."""
+    n = draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["int", "rational", "zero-diagonal", "low-rank"]))
+    if kind == "low-rank":
+        vecs = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=n))
+        signs = [draw(st.sampled_from([1, -1])) for _ in vecs]
+        return [[sum(s * v[i] * v[j] for s, v in zip(signs, vecs)) for j in range(n)] for i in range(n)]
+    value = st.fractions(-5, 5, max_denominator=7) if kind == "rational" else st.integers(-9, 9)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or kind != "zero-diagonal":
+                m[i][j] = m[j][i] = draw(value)
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(gram=symmetric_matrices())
+def test_signature_matches_charpoly_oracle(gram):
+    before = [list(row) for row in gram]
+    assert signature_symmetric(gram) == sympy_inertia(gram)
+    assert gram == before  # the caller's matrix is not modified
+
+
+def test_package_has_no_true_division():
+    """Every quotient in the package is exact: Fraction(a, b), or // and divmod with a remainder check."""
+    src = Path(adesurf.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

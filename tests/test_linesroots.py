@@ -504,3 +504,17 @@ def test_coefficient_bounds_match_dense_oracle(kind, n):
             want = _outcome(dense_coefficient_bounds, model, s, cons)
             got = _outcome(coefficient_bounds, model, s, cons)
             assert got == want, (s, [(c.coeffs, t) for c, t in cons])
+
+
+def test_indefinite_residual_lattice_is_refused():
+    # the constraints' Gram matrix [[-13, -8, -7], [-8, -5, -5], [-7, -5, -10]] has
+    # inertia (0, 2, 1); a count with float quotients read (1, 2, 0), called the
+    # residual lattice definite and returned [] although (3, -2, -2, 1) solves it
+    m = p2_blowup(3)
+    cons = [(m.cls((0, 0, 2, 3)), 1), (m.cls((0, 0, 1, 2)), 0), (m.cls((3, -3, -1, 3)), -2)]
+    x = m.cls((3, -2, -2, 1))
+    assert m.pair(x, x) == 0 and all(m.pair(x, u) == t for u, t in cons)
+    with pytest.raises(EnumerationBoundError, match="not negative definite"):
+        dense_coefficient_bounds(m, 0, cons)
+    with pytest.raises(EnumerationBoundError, match="not negative definite"):
+        enumerate_classes(m, 0, cons)

@@ -249,8 +249,8 @@ def test_kernel_checks_fail_when_a_relation_is_lost(monkeypatch):
     # one relation dropped its rank falls short of dim F_2 - dim image
     from adesurf import localmodel
 
-    relations = localmodel._relations
-    monkeypatch.setattr(localmodel, "_relations", lambda *a: relations(*a)[1:])
+    nullspace = localmodel.nullspace
+    monkeypatch.setattr(localmodel, "nullspace", lambda *a: nullspace(*a)[1:])
     report = verify_extension_chain(4)
     failed = {name for name, _ in report.failures}
     assert {"dimension_additivity", "kernel_dimension"} <= failed

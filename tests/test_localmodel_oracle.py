@@ -8,6 +8,7 @@ the dense oracles.  The two runs must agree field for field.
 import pytest
 
 from adesurf import localmodel as lm
+from adesurf._linalg import integer_row
 
 from .oracles import DenseEchelon, dense_nullspace, dense_rank, dense_rows
 
@@ -23,7 +24,7 @@ def dense(monkeypatch):
 
     def dense_nullspace_of(mat, ncols):
         calls.append("nullspace")
-        return dense_nullspace(dense_rows(mat, ncols))
+        return [integer_row(v) for v in dense_nullspace(dense_rows(mat, ncols))]
 
     class CountingEchelon(DenseEchelon):
         def extend(self, rows):

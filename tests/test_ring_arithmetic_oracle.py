@@ -219,3 +219,17 @@ def test_maps_store_no_zero(f, linear, data):
                 assert _stores_no_zero(el)
             assert lm.to_chart(a - b, chart) == ca - cb
             assert lm.to_chart(a * b, chart) == ca * cb
+
+
+def test_verify_extension_chain_builds_no_fraction(monkeypatch):
+    built = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    report = lm.verify_extension_chain(8)
+    assert report.ok
+    assert built == []
