@@ -150,7 +150,7 @@ def load_spectral(path: str):
     """Load a spectral datum or a cover polynomial, schema-checked.
 
     Returns ("datum", SpectralFiberDatum) or ("cover", CoverPoly).  A datum
-    that breaks its declared SU constraint loads without it, with a warning.
+    that breaks its declared SU constraint loads with a warning on stderr.
     """
     doc = read_document(path)
     if not isinstance(doc, dict):
@@ -166,17 +166,10 @@ def load_spectral(path: str):
         points = [_json.parse_int(v, f"points[{i}]") for i, v in enumerate(raw)]
         if "n" in doc and _json.parse_int(doc["n"], "n", minimum=0) != len(points):
             raise SchemaError("n", f"declared {doc['n']} sheets but {len(points)} points")
-        su = bool(doc.get("su_constraint", False))
         base_twist = _json.parse_int(doc.get("base_twist_degree", 0), "base_twist_degree")
-        if su and not check_su_constraint(points, order):
+        if doc.get("su_constraint", False) and not check_su_constraint(points, order):
             _warn("SU constraint violated: points do not sum to 0 mod N")
-            su = False
-        datum = SpectralFiberDatum(
-            order=order,
-            points=tuple(points),
-            su_constraint=su,
-            base_twist_degree=base_twist,
-        )
+        datum = SpectralFiberDatum(order=order, points=tuple(points), base_twist_degree=base_twist)
         return "datum", datum
     if "coeffs" in doc:
         from .qpoly import QPoly

@@ -421,11 +421,6 @@ def _stabiliser_index(datum: RootDatum, dominant_weight: tuple[int, ...]) -> int
     return _weyl_order(datum.cartan, range(datum.rank)) // _weyl_order(datum.cartan, zeros)
 
 
-def orbit_size(datum: RootDatum, cls: LatticeClass) -> int:
-    """Size of the Weyl orbit of cls, without enumerating it."""
-    return _stabiliser_index(datum, _dominant(datum, cls)[0])
-
-
 def weyl_orbit(datum: RootDatum, cls: LatticeClass, cap: int = 100_000) -> list[LatticeClass]:
     """Closure of {cls} under the simple reflections of the datum, sorted.
 

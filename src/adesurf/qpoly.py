@@ -1,23 +1,25 @@
-"""Exact univariate polynomials over Q, plus polynomials in u over Q[t].
+"""Exact univariate polynomials over Q, plus polynomials in u over Z[t].
 
 QPoly is a dense immutable coefficient tuple (ascending powers) of exact
 rationals: each integral coefficient is a Python int and only the others
-are Fractions, so integer polynomials are handled on ints throughout.
-``1 == Fraction(1)`` with equal hashes, so equality and sorting do not see
-the difference.  The bivariate layer needed for spectral covers is kept
-as plain lists of QPoly coefficients (ascending powers of u) manipulated
-by the u_* functions; covers are monic in u so nothing fancier is needed.
+are Fractions.  ``1 == Fraction(1)`` with equal hashes, so equality and
+sorting do not see the difference.  QPoly is the value at the edges --
+parsed, printed, evaluated, added and multiplied -- and every division
+runs on integer polynomials: lists of ints in ascending powers, which
+``primitive_int`` hands over.
 
-Two independent resultant routes are provided on purpose:
+The bivariate layer needed for spectral covers is a list (ascending
+powers of u) of such integer polynomials in t.  Two independent
+resultant routes are provided on purpose, and the test suite checks each
+against the other:
 
 * ``u_resultant_sylvester`` -- determinant of the Sylvester matrix over
-  Q[t], computed fraction-free (Bareiss, exact divisions only);
-* ``u_resultant_prs`` -- the subresultant pseudo-remainder sequence.
+  Z[t], computed fraction-free (Bareiss, Math. Comp. 22, 1968);
+* ``u_resultant_prs`` -- the subresultant pseudo-remainder sequence
+  (Brown and Traub, J. ACM 18, 1971).
 
-Over Z[t] both divide only exactly (Brown and Traub, J. ACM 18, 1971), so
-an integer cover's discriminant builds no Fraction.
-
-They are cross-checked against each other in the test suite.
+Both divide only exactly over Z[t], so ``_exact_quo`` is their only
+division and they build no Fraction.
 
 The squarefree decomposition is Yun's algorithm on the primitive integer
 part of a polynomial (Yun, SYMSAC 1976), with gcds by the primitive PRS
@@ -41,15 +43,6 @@ def _trim(coeffs: tuple[Coeff, ...]) -> tuple[Coeff, ...]:
     while k > 0 and coeffs[k - 1] == 0:
         k -= 1
     return coeffs[:k]
-
-
-def _div(a: Coeff, b: Coeff) -> Coeff:
-    """a / b as an exact rational: an int when both are ints and b divides a."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        if not r:
-            return q
-    return exact(Fraction(a, b))
 
 
 @dataclass(frozen=True)
@@ -85,11 +78,6 @@ class QPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def lc(self) -> Coeff:
-        if self.is_zero():
-            raise ZeroDivisionError("leading coefficient of the zero polynomial")
-        return self.coeffs[-1]
-
     def __call__(self, x) -> Coeff:
         x = exact(x)
         acc = 0
@@ -113,54 +101,6 @@ class QPoly:
         return QPoly(_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "QPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        out = QPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
-    def divmod(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return QPoly(()), self
-        quo = [0] * (dq + 1)
-        olc = other.lc()
-        for k in range(dq, -1, -1):
-            if len(rem) < len(other.coeffs) + k:
-                continue
-            c = _div(rem[len(other.coeffs) + k - 1], olc)
-            if c == 0:
-                continue
-            quo[k] = c
-            for j, oc in enumerate(other.coeffs):
-                rem[j + k] -= c * oc
-        return QPoly(tuple(quo)), QPoly(tuple(rem))
-
-    def exact_div(self, other: "QPoly") -> "QPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ArithmeticError("division was not exact")
-        return q
-
-    def derivative(self) -> "QPoly":
-        return QPoly(_derivative(self.coeffs))
-
-    def monic(self) -> "QPoly":
-        if self.is_zero():
-            return self
-        lc = self.lc()
-        return QPoly(tuple(_div(c, lc) for c in self.coeffs))
 
     # -- number-theoretic helpers -------------------------------------------
     def primitive_int(self) -> tuple[int, ...]:
@@ -188,8 +128,8 @@ class QPoly:
 
 # ---------------------------------------------------------------------------
 # integer polynomials: lists of ints in ascending powers, no trailing zeros.
-# _add, _mul and _derivative also serve QPoly's coefficient tuples, whose
-# entries may be Fractions.
+# _add and _mul also serve QPoly's coefficient tuples, whose entries may be
+# Fractions.
 
 
 def _add(a: list[int], b: list[int]) -> list[int]:
@@ -267,7 +207,7 @@ def _gcd(a: list[int], b: list[int]) -> list[int]:
 
 
 def _exact_quo(a: list[int], b: list[int]) -> list[int]:
-    """a / b for a primitive b dividing a over Q; the quotient is then over Z."""
+    """a / b when the quotient is over Z, as it is for a primitive b dividing a over Q."""
     rem = list(a)
     db = len(b) - 1
     lb = b[-1]
@@ -310,15 +250,6 @@ def squarefree_int(f: list[int]) -> list[tuple[list[int], int]]:
     return out
 
 
-def squarefree_decomposition(p: QPoly) -> list[tuple[QPoly, int]]:
-    """Yun's algorithm: p = c * prod g_i^i with the g_i squarefree, coprime.
-
-    Returns the nontrivial (g_i monic, i) pairs in increasing multiplicity.
-    The work runs over Z on the primitive integer part of p.
-    """
-    return [(QPoly(tuple(g)).monic(), i) for g, i in squarefree_int(list(p.primitive_int()))]
-
-
 def factor_multiplicities(p: QPoly) -> list[tuple[QPoly, int]]:
     """Irreducible factors over Q with their multiplicities, sorted by (degree, coeffs).
 
@@ -353,163 +284,103 @@ def linear_roots(factors: list[tuple[QPoly, int]]) -> list[tuple[Fraction, int]]
 
 
 # ---------------------------------------------------------------------------
-# polynomials in u with QPoly coefficients (ascending powers of u)
-
-UPoly = list  # list[QPoly]
-
-
-def u_trim(f: UPoly) -> UPoly:
-    k = len(f)
-    while k > 0 and f[k - 1].is_zero():
-        k -= 1
-    return f[:k]
+# polynomials in u over Z[t]: lists (ascending powers of u) of integer
+# polynomials in t, with no zero leading coefficient
 
 
-def u_degree(f: UPoly) -> int:
-    f = u_trim(f)
-    return len(f) - 1
+def _pow(a: list[int], k: int) -> list[int]:
+    out = [1]
+    for _ in range(k):
+        out = _mul(out, a)
+    return out
 
 
-def u_lc(f: UPoly) -> QPoly:
-    f = u_trim(f)
-    if not f:
-        raise ZeroDivisionError("leading coefficient of zero")
-    return f[-1]
+def u_derivative(f: list[list[int]]) -> list[list[int]]:
+    return [[i * c for c in a] for i, a in enumerate(f)][1:]
 
 
-def u_scale(f: UPoly, c: QPoly) -> UPoly:
-    return u_trim([c * a for a in f])
-
-
-def u_sub(f: UPoly, g: UPoly) -> UPoly:
-    out = [QPoly.zero()] * max(len(f), len(g))
-    for i, a in enumerate(f):
-        out[i] = out[i] + a
-    for i, b in enumerate(g):
-        out[i] = out[i] - b
-    return u_trim(out)
-
-
-def u_shift(f: UPoly, k: int) -> UPoly:
-    return u_trim([QPoly.zero()] * k + list(f))
-
-
-def u_derivative(f: UPoly) -> UPoly:
-    return u_trim([QPoly.const(i) * c for i, c in enumerate(f)][1:])
-
-
-def u_exact_div_scalar(f: UPoly, c: QPoly) -> UPoly:
-    return u_trim([a.exact_div(c) for a in f])
-
-
-def u_prem(a: UPoly, b: UPoly) -> UPoly:
-    """Pseudo-remainder: rem(lc(b)^(deg a - deg b + 1) * a, b) over Q[t]."""
-    da, db = u_degree(a), u_degree(b)
-    if db < 0:
-        raise ZeroDivisionError("pseudo-division by zero")
-    if da < db:
-        return u_trim(list(a))
-    lb = u_lc(b)
+def u_prem(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Pseudo-remainder rem(lc(b)^(deg a - deg b + 1) * a, b) over Z[t], for deg a >= deg b >= 0."""
+    db = len(b) - 1
+    lb = b[-1]
     r = list(a)
-    e = da - db + 1
-    while True:
-        dr = u_degree(r)
-        if dr < db or dr < 0:
-            break
-        lr = u_lc(r)
-        r = u_sub(u_scale(r, lb), u_scale(u_shift(b, dr - db), lr))
+    e = len(a) - db
+    while len(r) > db:
+        lr = r.pop()
+        k = len(r) - db
+        r = [_mul(c, lb) for c in r]
+        for j in range(db):
+            r[k + j] = _sub(r[k + j], _mul(lr, b[j]))
+        while r and not r[-1]:
+            r.pop()
         e -= 1
-    return u_trim(u_scale(r, lb ** e))
+    scale = _pow(lb, e)
+    return [_mul(c, scale) for c in r]
 
 
-def u_resultant_sylvester(f: UPoly, g: UPoly) -> QPoly:
+def u_resultant_sylvester(f: list[list[int]], g: list[list[int]]) -> list[int]:
     """Resultant with respect to u via the Sylvester determinant (Bareiss)."""
-    f, g = u_trim(list(f)), u_trim(list(g))
-    n, m = u_degree(f), u_degree(g)
+    n, m = len(f) - 1, len(g) - 1
     if n < 0 or m < 0:
-        return QPoly.zero()
-    if n == 0 and m == 0:
-        return QPoly.one()
+        return []
     if n == 0:
-        return f[0] ** m
+        return _pow(f[0], m)
     if m == 0:
-        return g[0] ** n
+        return _pow(g[0], n)
     size = n + m
-    fd = [f[n - i] if 0 <= n - i < len(f) else QPoly.zero() for i in range(n + 1)]
-    gd = [g[m - i] if 0 <= m - i < len(g) else QPoly.zero() for i in range(m + 1)]
-    mat = []
-    for r in range(m):
-        row = [QPoly.zero()] * size
-        for i, c in enumerate(fd):
-            row[r + i] = c
-        mat.append(row)
-    for r in range(n):
-        row = [QPoly.zero()] * size
-        for i, c in enumerate(gd):
-            row[r + i] = c
-        mat.append(row)
-    # fraction-free Bareiss elimination
+    mat = [[[]] * r + f[::-1] + [[]] * (m - 1 - r) for r in range(m)]
+    mat += [[[]] * r + g[::-1] + [[]] * (n - 1 - r) for r in range(n)]
+    # fraction-free Bareiss elimination: every quotient by prev is exact over Z[t]
     sign = 1
-    prev = QPoly.one()
+    prev = [1]
     for k in range(size - 1):
-        if mat[k][k].is_zero():
-            swap = None
-            for i in range(k + 1, size):
-                if not mat[i][k].is_zero():
-                    swap = i
-                    break
+        if not mat[k][k]:
+            swap = next((i for i in range(k + 1, size) if mat[i][k]), None)
             if swap is None:
-                return QPoly.zero()
+                return []
             mat[k], mat[swap] = mat[swap], mat[k]
             sign = -sign
-        for i in range(k + 1, size):
+        top = mat[k]
+        pivot = top[k]
+        for row in mat[k + 1:]:
+            lead = row[k]
             for j in range(k + 1, size):
-                num = mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]
-                mat[i][j] = num.exact_div(prev)
-            mat[i][k] = QPoly.zero()
-        prev = mat[k][k]
-    det = mat[size - 1][size - 1]
-    return det if sign == 1 else -det
+                row[j] = _exact_quo(_sub(_mul(row[j], pivot), _mul(lead, top[j])), prev)
+        prev = pivot
+    det = mat[-1][-1]
+    return det if sign == 1 else [-c for c in det]
 
 
-def u_resultant_prs(f: UPoly, g: UPoly) -> QPoly:
-    """Resultant via the subresultant pseudo-remainder sequence."""
-    a, b = u_trim(list(f)), u_trim(list(g))
-    da, db = u_degree(a), u_degree(b)
-    if da < 0 or db < 0:
-        return QPoly.zero()
+def u_resultant_prs(f: list[list[int]], g: list[list[int]]) -> list[int]:
+    """Resultant via the subresultant pseudo-remainder sequence; every quotient is exact over Z[t]."""
+    a, b = f, g
+    if not a or not b:
+        return []
     s = 1
-    if da < db:
+    if len(a) < len(b):
         a, b = b, a
-        da, db = db, da
-        if (da % 2) == 1 and (db % 2) == 1:
+        if len(a) % 2 == 0 and len(b) % 2 == 0:  # both degrees odd
             s = -s
-    if db == 0:
-        return (b[0] ** da) * (1 if s == 1 else -1)
-    gg = QPoly.one()
-    hh = QPoly.one()
+    if len(b) == 1:
+        res = _pow(b[0], len(a) - 1)
+        return res if s == 1 else [-c for c in res]
+    gg = hh = [1]
     while True:
-        da, db = u_degree(a), u_degree(b)
+        da, db = len(a) - 1, len(b) - 1
         delta = da - db
-        if (da % 2) == 1 and (db % 2) == 1:
+        if da % 2 and db % 2:
             s = -s
         r = u_prem(a, b)
+        if not r:
+            return []
         a = b
-        b = u_exact_div_scalar(r, gg * hh ** delta) if r else []
-        gg = u_lc(a)
-        if delta == 0:
-            pass  # h unchanged
-        elif delta == 1:
+        quo = _mul(gg, _pow(hh, delta))
+        b = [_exact_quo(c, quo) for c in r]
+        gg = a[-1]
+        if delta == 1:
             hh = gg
-        else:
-            hh = (gg ** delta).exact_div(hh ** (delta - 1))
-        if not b:
-            return QPoly.zero()
-        if u_degree(b) == 0:
-            dA = u_degree(a)
-            num = b[0] ** dA
-            if dA <= 1:
-                res = num * (hh ** (1 - dA))
-            else:
-                res = num.exact_div(hh ** (dA - 1))
-            return res if s == 1 else -res
+        elif delta > 1:
+            hh = _exact_quo(_pow(gg, delta), _pow(hh, delta - 1))
+        if len(b) == 1:
+            res = _exact_quo(_pow(b[0], db), _pow(hh, db - 1))
+            return res if s == 1 else [-c for c in res]

@@ -2,8 +2,9 @@
 
 A cover is a monic polynomial F(t, u) = u^n + c_{n-1}(t) u^{n-1} + ... +
 c_0(t) with exact rational coefficient polynomials.  Its discriminant is
-the resultant of F and dF/du with respect to u, computed exactly; a zero
-discriminant means the cover is globally non-reduced and is rejected.
+the resultant of F and dF/du with respect to u, computed exactly over
+Z[t] after clearing the denominators of F once; a zero discriminant
+means the cover is globally non-reduced and is rejected.
 Branch points are reported as exact rational roots, with the nonrational
 part of the discriminant listed as irreducible factors rather than as
 floating approximations.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from ._linalg import exact, rank
@@ -29,7 +31,6 @@ from .qpoly import (
     factor_multiplicities,
     linear_roots,
     squarefree_int,
-    u_degree,
     u_derivative,
     u_resultant_prs,
     u_resultant_sylvester,
@@ -60,11 +61,17 @@ def discriminant(cover: CoverPoly, method: str = "prs") -> QPoly:
     """Resultant of (F, dF/du) with respect to u; zero is a non-reduced cover.
 
     `method` picks the subresultant PRS ("prs") or the Sylvester
-    determinant ("sylvester"); both give the same polynomial.
+    determinant ("sylvester"); both give the same polynomial.  Both run
+    over Z[t] on D*F, D the lcm of the denominators of F's coefficients:
+    Res_u(D*F, D*dF/du) = D^(2n-1) Res_u(F, dF/du), and that quotient,
+    which builds one Fraction per coefficient that is not integral, is
+    the only division by D.  An integer cover has D = 1.
     """
-    f = cover.as_upoly()
+    polys = cover.as_upoly()
+    den = lcm(*(c.denominator for p in polys for c in p.coeffs))
+    f = [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys]
     df = u_derivative(f)
-    if u_degree(df) < 0:
+    if not df:
         raise NonReducedCoverError("cover has constant fiber polynomial")
     if method == "sylvester":
         res = u_resultant_sylvester(f, df)
@@ -72,9 +79,10 @@ def discriminant(cover: CoverPoly, method: str = "prs") -> QPoly:
         res = u_resultant_prs(f, df)
     else:
         raise AdesurfError(f"unknown resultant method {method!r}")
-    if res.is_zero():
+    if not res:
         raise NonReducedCoverError("discriminant vanishes identically: non-reduced cover")
-    return res
+    scale = den ** (2 * cover.n - 1)
+    return QPoly(tuple(c // scale if c % scale == 0 else Fraction(c, scale) for c in res))
 
 
 def fiber_profile(cover: CoverPoly, t0) -> tuple[int, ...]:

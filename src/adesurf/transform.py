@@ -30,7 +30,6 @@ from .bundles import (
     FormalBundle,
     PointEntry,
     boundary_degree,
-    check_su_constraint,
     restrict_to_boundary,
 )
 from .divisors import CollisionConfig
@@ -50,7 +49,6 @@ class SpectralFiberDatum:
 
     order: int
     points: tuple[int, ...]
-    su_constraint: bool = False
     base_twist_degree: int = 0
 
     def __post_init__(self):
@@ -58,10 +56,6 @@ class SpectralFiberDatum:
             raise AdesurfError("group order must be positive")
         pts = tuple(sorted(int(p) % self.order for p in self.points))
         object.__setattr__(self, "points", pts)
-        if self.su_constraint and not check_su_constraint(pts, self.order):
-            raise AdesurfError(
-                f"SU constraint violated: sum of points = {sum(pts) % self.order} != 0 mod {self.order}"
-            )
 
     @property
     def n(self) -> int:

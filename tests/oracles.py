@@ -41,7 +41,9 @@ memoised normal forms are tested against them.
 ``euclid_gcd`` and ``yun_over_q`` are the squarefree decomposition over Q
 as the package first computed it: Yun's algorithm with every gcd a monic
 Euclid over Q, so every remainder is made monic by Fraction division.
-The package's run over Z, with primitive PRS gcds, is tested against them.
+Their long division ``q_divmod`` and ``q_monic`` run on Fractions here,
+since the package divides only integer polynomials, exactly.  The
+package's run over Z, with primitive PRS gcds, is tested against them.
 
 ``dense_pair`` pairs two classes through the whole dense Gram matrix of
 their model, and ``dense_dual`` is the dense product Gram * c; the
@@ -581,7 +583,7 @@ def sympy_inertia(gram):
 def sympy_sqf(p):
     """(monic squarefree part, multiplicity) pairs of a QPoly over Q by sympy, increasing in multiplicity."""
     _, parts = sympy_poly(p).sqf_list()
-    return sorted(((qpoly_of(g).monic(), k) for g, k in parts), key=lambda gk: gk[1])
+    return sorted(((q_monic(qpoly_of(g)), k) for g, k in parts), key=lambda gk: gk[1])
 
 
 def sympy_factors(p):
@@ -599,31 +601,64 @@ def sympy_factors(p):
     return sorted(out, key=lambda fm: (fm[0].degree, fm[0].coeffs))
 
 
+def q_divmod(a, b):
+    """Quotient and remainder over Q of two QPolys, b nonzero, by long division on Fractions."""
+    from adesurf.qpoly import QPoly
+
+    rem = [Fraction(c) for c in a.coeffs]
+    db = len(b.coeffs) - 1
+    quo = [Fraction(0)] * max(len(rem) - db, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        quo[k] = rem[k + db] / b.coeffs[-1]
+        for j, c in enumerate(b.coeffs):
+            rem[k + j] -= quo[k] * c
+    return QPoly(tuple(quo)), QPoly(tuple(rem))
+
+
+def q_monic(p):
+    """p divided by its leading coefficient; the zero polynomial stays zero."""
+    from adesurf.qpoly import QPoly
+
+    return QPoly(tuple(Fraction(c) / p.coeffs[-1] for c in p.coeffs)) if p.coeffs else p
+
+
+def _q_exact_div(a, b):
+    q, r = q_divmod(a, b)
+    assert r.is_zero(), "division was not exact"
+    return q
+
+
+def _q_derivative(p):
+    from adesurf.qpoly import QPoly
+
+    return QPoly(tuple(i * c for i, c in enumerate(p.coeffs))[1:])
+
+
 def euclid_gcd(a, b):
     """Monic gcd over Q of two QPolys, by Euclid's algorithm."""
     while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return a.monic() if not a.is_zero() else a
+        a, b = b, q_divmod(a, b)[1]
+    return q_monic(a)
 
 
 def yun_over_q(p):
     """Yun's algorithm over Q: the nontrivial (g_i monic, i), increasing in i."""
     if p.is_zero() or p.degree == 0:
         return []
-    p = p.monic()
-    d = p.derivative()
+    p = q_monic(p)
+    d = _q_derivative(p)
     g0 = euclid_gcd(p, d)
-    w = p.exact_div(g0)
-    y = d.exact_div(g0)
+    w = _q_exact_div(p, g0)
+    y = _q_exact_div(d, g0)
     out = []
     i = 1
     while w.degree > 0:
-        z = y - w.derivative()
+        z = y - _q_derivative(w)
         g = euclid_gcd(w, z)
         if g.degree > 0:
             out.append((g, i))
-        w = w.exact_div(g)
-        y = z.exact_div(g)
+        w = _q_exact_div(w, g)
+        y = _q_exact_div(z, g)
         i += 1
     return out
 

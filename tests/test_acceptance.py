@@ -98,3 +98,13 @@ def test_criterion_8_property_suites(capsys):
             f"property suites ({result['detail']['cases_each']} cases each), {elapsed:.1f}s",
             result["pass"],
         )
+
+
+def test_property_suites_fail_when_a_basis_monomial_is_lost(monkeypatch):
+    # the graded-dimension check compares with a closed form, so a ring
+    # basis that drops a monomial must fail it
+    from adesurf.localmodel import TruncRing
+
+    basis = TruncRing.basis
+    monkeypatch.setattr(TruncRing, "basis", lambda self, d: basis(self, d)[1:])
+    assert not suite.check_properties()["pass"]

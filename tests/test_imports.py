@@ -2,9 +2,13 @@
 
 Each case runs ``adesurf.cli.run`` in a fresh interpreter and reports which
 package modules were loaded; nothing at the package root imports a
-submodule, so those are exactly the modules the command needed.
+submodule, so those are exactly the modules the command needed.  The
+last test asks the same of names: every public one is used by the package
+or the benchmark.
 """
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -104,3 +108,32 @@ def test_runs_without_sympy(tmp_path, argv):
     assert got["code"] == 0
     assert "error" not in json.loads(got["stdout"])
     assert got["sympy"] == []
+
+
+# the benchmark traces these by name, as strings (perfbench/tracing.py)
+_TRACE_TARGETS = {"qpoly.rational_roots", "qpoly.irreducible_factors"}
+
+
+def test_every_public_name_is_used_by_the_package_or_the_benchmark():
+    # a public function or class that only the tests call belongs in the
+    # tests' oracles, not in the package
+    package = sorted(glob.glob(os.path.join(SRC, "adesurf", "*.py")))
+    bench = sorted(glob.glob(os.path.join(os.path.dirname(SRC), "perfbench", "*.py")))
+    defined, used = set(), set()
+    for path in package + bench:
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+        if path in package:
+            module = os.path.basename(path)[:-3]
+            defined |= {
+                (module, node.name)
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+            }
+    unused = {f"{module}.{name}" for module, name in defined if name not in used}
+    assert sorted(unused - _TRACE_TARGETS) == []

@@ -24,7 +24,6 @@ from adesurf.linesroots import (
     enumerate_classes,
     enumerate_lines,
     enumerate_roots,
-    orbit_size,
     reflect,
     weight_of,
     weyl_orbit,
@@ -39,6 +38,18 @@ from .oracles import (
     pairwise_simple_roots,
     weyl_orbit_bfs,
 )
+
+
+def _orbit_at_cap(datum, cls, size):
+    """The orbit under the cap `size`, after checking that the cap size - 1 is refused.
+
+    weyl_orbit computes the orbit size before it enumerates, so this pins
+    that size through the public cap.
+    """
+    if size > 1:
+        with pytest.raises(OrbitCapExceededError, match=f"orbit of size {size} exceeds"):
+            weyl_orbit(datum, cls, cap=size - 1)
+    return weyl_orbit(datum, cls, cap=size)
 
 
 def test_twenty_seven_lines():
@@ -222,8 +233,7 @@ def test_orbit_of_l1_minus_l0(n):
     m = hirzebruch_blowup(n)
     datum = enumerate_roots(m, ("K", "f", "b"))
     start = m.exceptional(1) - m.base_class
-    orbit = weyl_orbit(datum, start)
-    assert len(orbit) == orbit_size(datum, start) == n
+    orbit = _orbit_at_cap(datum, start, n)
     want = sorted((m.exceptional(i) - m.base_class).coeffs for i in range(1, n + 1))
     assert [c.coeffs for c in orbit] == want
 
@@ -316,9 +326,8 @@ def test_orbit_matches_bfs_oracle(kind, n, orth, examples):
     @given(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank))
     def check(coeffs):
         cls = datum.model.cls(coeffs)
-        orbit = weyl_orbit(datum, cls, cap=10**6)
-        assert _coeffs(orbit) == _coeffs(weyl_orbit_bfs(datum, cls, cap=10**6))
-        assert len(orbit) == orbit_size(datum, cls)
+        want = weyl_orbit_bfs(datum, cls, cap=10**6)
+        assert _coeffs(_orbit_at_cap(datum, cls, len(want))) == _coeffs(want)
 
     check()
 
@@ -332,14 +341,11 @@ def test_e7_e8_orbits_match_bfs_oracle(n):
     want = _coeffs(weyl_orbit_bfs(datum, lines[0]))
     assert want == _coeffs(lines)
     for line in lines:
-        assert _coeffs(weyl_orbit(datum, line)) == want
-        assert orbit_size(datum, line) == len(want)
+        assert _coeffs(_orbit_at_cap(datum, line, len(want))) == want
     root = datum.simple_roots[-1]
     starts = [(root, len(datum.roots))] + ([(m.basis_class("h"), 576)] if n == 7 else [])
     for cls, size in starts:
-        orbit = _coeffs(weyl_orbit(datum, cls))
-        assert orbit == _coeffs(weyl_orbit_bfs(datum, cls))
-        assert len(orbit) == orbit_size(datum, cls) == size
+        assert _coeffs(_orbit_at_cap(datum, cls, size)) == _coeffs(weyl_orbit_bfs(datum, cls))
     assert _coeffs(weyl_orbit(datum, root)) == _coeffs(datum.roots)
 
 
@@ -348,15 +354,15 @@ def test_line_orbit_sizes(n, size):
     m = p2_blowup(n)
     datum = enumerate_roots(m, ("K",))
     line = enumerate_lines(m)[-1]
-    assert orbit_size(datum, line) == len(weyl_orbit(datum, line)) == size
+    assert len(_orbit_at_cap(datum, line, size)) == size
 
 
 def test_orbit_of_h_on_dp8():
     m = p2_blowup(8)
     datum = enumerate_roots(m, ("K",))
     h = m.basis_class("h")
-    orbit = weyl_orbit(datum, h)
-    assert orbit_size(datum, h) == len(orbit) == 17_280
+    orbit = _orbit_at_cap(datum, h, 17_280)
+    assert len(orbit) == 17_280
     assert all(m.pair(x, x) == 1 and m.pair(x, m.K) == -3 for x in orbit)
     # independently: the classes with x*x = 1 and x*K = -3 are the orbit of h
     # and the 240 classes -3K + 2 alpha, one for each root alpha

@@ -14,7 +14,7 @@ import adesurf
 
 from adesurf.errors import AdesurfError, DegreeDataError, NonReducedCoverError
 from adesurf.lattice import hirzebruch_blowup, p2_blowup
-from adesurf.qpoly import QPoly, squarefree_int
+from adesurf.qpoly import QPoly, _exact_quo, squarefree_int
 from adesurf.spectral import (
     CoverPoly,
     branch_report,
@@ -24,7 +24,7 @@ from adesurf.spectral import (
     sen_delta,
 )
 
-from .oracles import sympy_factors, sympy_sqf, yun_over_q
+from .oracles import q_monic, sympy_factors, sympy_resultant, sympy_sqf, yun_over_q
 
 T = QPoly.x()
 ONE = QPoly.one()
@@ -159,7 +159,8 @@ def test_branch_report_large_discriminant():
     assert report.branch_points == (Fraction(-6), Fraction(1))
     assert report.branch_multiplicities == (4, 4)
     assert [f.coeffs for f in report.nonrational_factors] == [(1000000007, 0, 1)]
-    residual = disc.exact_div(QPoly((-1, 1)) ** 4 * QPoly((6, 1)) ** 4)
+    linear = QPoly((-1, 1)) * QPoly((6, 1))
+    residual = QPoly(tuple(_exact_quo(list(disc.coeffs), list((linear * linear * linear * linear).coeffs))))
     assert max(abs(c.numerator) for c in residual.coeffs).bit_length() == 132
     assert sympy_factors(disc) == [
         (QPoly((-1, 1)), 4), (QPoly((6, 1)), 4), (QPoly((1000000007, 0, 1)), 4)
@@ -196,6 +197,56 @@ def test_integer_cover_discriminant_builds_no_fraction(monkeypatch, make_cover, 
     assert {type(c) for c in disc.coeffs} == {int}
 
 
+def _rational_sheets():
+    # five sheets u = a + b t with a, b of denominators up to 5
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    f = [ONE]
+    for a, b in [(half, 2), (3, -third), (0, Fraction(5, 4)), (-2, 1), (Fraction(4, 5), 3 * half)]:
+        f = [x - QPoly((a, b)) * y for x, y in zip([ZERO] + f, f + [ZERO])]
+    return CoverPoly(5, tuple(f[:-1]))
+
+
+@pytest.mark.parametrize("method", ["sylvester", "prs"])
+def test_rational_cover_discriminant_builds_a_fraction_per_coefficient(monkeypatch, method):
+    # the resultant runs over Z[t] on D F; only the final division by
+    # D^(2n - 1) builds Fractions, one per coefficient that is not integral
+    cover = _rational_sheets()
+    built = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    disc = discriminant(cover, method=method)
+    monkeypatch.undo()
+    assert disc.degree == 20
+    assert 0 < len(built) <= disc.degree + 1
+    assert len(built) == sum(type(c) is Fraction for c in disc.coeffs)
+
+
+# cover coefficients: ints, integral Fractions and Fractions of denominators up to 6
+_COEFF = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
+
+
+@pytest.mark.parametrize("method", ["sylvester", "prs"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_discriminant_matches_sympy(method, data):
+    n = data.draw(st.integers(1, 4))
+    coeffs = tuple(QPoly(tuple(data.draw(st.lists(_COEFF, max_size=3)))) for _ in range(n))
+    f = list(coeffs) + [ONE]
+    want = sympy_resultant(f, [i * c for i, c in enumerate(f)][1:])
+    if want.is_zero():
+        with pytest.raises(NonReducedCoverError):
+            discriminant(CoverPoly(n, coeffs), method=method)
+    else:
+        disc = discriminant(CoverPoly(n, coeffs), method=method)
+        assert disc == want
+        assert all(type(c) is int or c.denominator > 1 for c in disc.coeffs)
+
+
 def test_integer_cover_fiber_profile_builds_no_fraction(monkeypatch):
     # the five sheets meet at t = 1/3, 1/2, 2/3, ..., three of them at -3: the
     # fibers there are specialised as q^D F(p/q, u) and split over Z
@@ -217,7 +268,7 @@ def test_integer_cover_fiber_profile_builds_no_fraction(monkeypatch):
     # the sheets through each point, grouped by their value there
     want = [tuple(sorted(Counter(a + b * t for a, b in FIVE_SHEETS).values(), reverse=True)) for t in points]
     assert profiles == want
-    assert [(QPoly(tuple(g)).monic(), k) for g, k in parts] == yun_over_q(discriminant(cover))
+    assert [(q_monic(QPoly(tuple(g))), k) for g, k in parts] == yun_over_q(discriminant(cover))
 
 
 # a sheet u = a + b t of a cover through a chosen value at t0: sheets that

@@ -92,12 +92,6 @@ def test_fm_classlevel():
     assert empty.entries == ()
 
 
-def test_su_constraint_validation():
-    SpectralFiberDatum(order=12, points=(5, 7), su_constraint=True)
-    with pytest.raises(AdesurfError):
-        SpectralFiberDatum(order=12, points=(5, 6), su_constraint=True)
-
-
 def test_det_class_of_block_is_sum_of_lines():
     m = hirzebruch_blowup(2)
     datum = SpectralFiberDatum(order=720, points=(9, 9))
