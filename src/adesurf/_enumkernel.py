@@ -18,16 +18,30 @@ them.  Three cuts keep the layers small:
 * Cauchy-Schwarz: need^2 <= (sum over unassigned k of a_k^2) * q_rem.
 
 At full depth the reach and the budget are zero, so every surviving row
-solves the system exactly.  Rows are extended in ascending order from a
-sorted layer, so the result comes out lexicographically sorted.
+solves the system exactly.
+
+Coordinates i >= 1 with the same bound and the same column in every
+constraint row can be swapped for each other without changing the
+equation, the constraints or the box.  Inside each maximal run of such
+adjacent coordinates the sweep keeps only non-increasing rows: x_i is
+capped at x_{i-1} when the two are in the same run.  Every solution is a
+permutation within the runs of exactly one such representative, and the
+three cuts are necessary conditions, so they pass the representative
+whenever they pass a solution.  Each representative is then expanded into
+its distinct permutations within the runs, and the result is sorted once.
+On the dP8 conics, 15 representatives stand for 2160 classes.
 
 ``check_int64_safety`` keeps its historical name; it is the work limit on
 rank, box size and constraint ranges, refused before any sweep starts.
+``_MAX_LAYER_ROWS`` caps both the candidates of one layer and the number
+of solutions the representatives expand into, counted before any
+permutation is built.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from itertools import groupby
+from math import factorial, isqrt
 
 from .errors import EnumerationBoundError
 
@@ -53,6 +67,29 @@ def check_int64_safety(s: int, bounds, a_matrix, targets) -> None:
             raise EnumerationBoundError("enumeration bound exceeded: linear constraint range")
 
 
+def _arrangement_count(seg: tuple[int, ...]) -> int:
+    """Number of distinct permutations of a non-increasing tuple (a multinomial)."""
+    n = factorial(len(seg))
+    for _, equal in groupby(seg):
+        n //= factorial(len(tuple(equal)))
+    return n
+
+
+def _arrangements(seg: tuple[int, ...], memo: dict) -> list[tuple[int, ...]]:
+    """Every distinct permutation of a non-increasing tuple, each once."""
+    if len(seg) <= 1:
+        return [seg]
+    out = memo.get(seg)
+    if out is None:
+        out = []
+        for k, x in enumerate(seg):
+            if k and seg[k - 1] == x:
+                continue
+            out.extend((x,) + t for t in _arrangements(seg[:k] + seg[k + 1:], memo))
+        memo[seg] = out
+    return out
+
+
 def enumerate_diag(
     s: int,
     bounds: list[int],
@@ -69,7 +106,8 @@ def enumerate_diag(
     sq_cap = [0] * (r + 1)
     for i in range(r - 1, 0, -1):
         sq_cap[i] = sq_cap[i + 1] + bounds[i] * bounds[i]
-    # per depth: (column of A, [(reach, sum of squares) of the tail] per row)
+    # per depth: (column of A, [(reach, sum of squares) of the tail] per row,
+    # whether the coordinate is interchangeable with the one before it)
     steps = []
     for i in range(r):
         tails = [
@@ -77,20 +115,33 @@ def enumerate_diag(
              sum(c * c for c in row[i + 1:]))
             for row in a_matrix
         ]
-        steps.append((tuple(row[i] for row in a_matrix), tails))
+        col = tuple(row[i] for row in a_matrix)
+        tied = i >= 2 and bounds[i] == bounds[i - 1] and col == steps[-1][0]
+        steps.append((col, tails, tied))
+    # maximal runs of interchangeable coordinates, as (start, stop) slices
+    runs = []
+    for i, (_, _, tied) in enumerate(steps):
+        if tied:
+            if runs and runs[-1][1] == i:
+                runs[-1] = (runs[-1][0], i + 1)
+            else:
+                runs.append((i - 1, i + 1))
 
     layer = [((), -s, tuple(targets))]
-    for i, (col, tails) in enumerate(steps):
+    for i, (col, tails, tied) in enumerate(steps):
         cap = sq_cap[i + 1]
         sign = 1 if i == 0 else -1
         candidates = 0
         nxt = []
         for prefix, q, need in layer:
             b = bounds[0] if i == 0 else min(bounds[i], isqrt(q))
-            candidates += 2 * b + 1
+            top = min(b, prefix[-1]) if tied else b
+            if top < -b:
+                continue
+            candidates += top + b + 1
             if candidates > _MAX_LAYER_ROWS:
                 raise EnumerationBoundError("enumeration bound exceeded: layer too large")
-            for x in range(-b, b + 1):
+            for x in range(-b, top + 1):
                 q2 = q + sign * x * x
                 if q2 < 0 or q2 > cap:
                     continue
@@ -101,4 +152,25 @@ def enumerate_diag(
                 else:
                     nxt.append((prefix + (x,), q2, need2))
         layer = nxt
-    return [prefix for prefix, _, _ in layer]
+    reps = [prefix for prefix, _, _ in layer]
+    expanded = 0
+    for v in reps:
+        count = 1
+        for lo, hi in runs:
+            count *= _arrangement_count(v[lo:hi])
+        expanded += count
+        if expanded > _MAX_LAYER_ROWS:
+            raise EnumerationBoundError("enumeration bound exceeded: layer too large")
+    memo: dict = {}
+    out = []
+    for v in reps:
+        rows = [()]
+        pos = 0
+        for lo, hi in runs:
+            head = v[pos:lo]
+            rows = [row + head + p for row in rows for p in _arrangements(v[lo:hi], memo)]
+            pos = hi
+        tail = v[pos:]
+        out.extend(row + tail for row in rows)
+    out.sort()
+    return out

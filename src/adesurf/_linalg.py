@@ -16,7 +16,8 @@ so rank and kernel questions on integer rows build no Fraction.
 
 ``linesroots.coefficient_bounds`` uses the same echelon to drop dependent
 constraints, to detect inconsistent targets and to invert a Gram matrix
-of at most 3x3, dividing each reduced row by its pivot entry.
+of at most 3x3: it puts the reduced rows over one common denominator, the
+lcm of their pivot entries, and computes the box in integers from there.
 ``signature_symmetric`` counts the inertia of a symmetric matrix by
 congruence, which no echelon of its rows gives; its one quotient is an
 exact Fraction.

@@ -4,9 +4,10 @@ Enumeration strategy.  Solutions of x*x = s with prescribed pairings
 against a constraint set U live on a sphere inside an affine translate of
 the orthogonal complement of U.  When that complement is negative
 definite the sphere is finite, and Cauchy-Schwarz applied to the dual
-basis vectors gives an explicit per-coordinate bound (computed exactly
-over Fraction, never guessed).  The box is then swept by the kernel in
-``_enumkernel``; a wider-margin sweep is what the test oracles use.
+basis vectors gives an explicit per-coordinate bound (computed exactly,
+in integers over one common denominator, never guessed).  The box is then
+swept by the kernel in ``_enumkernel``; a wider-margin sweep is what the
+test oracles use.
 
 Orthogonality sets: the A-type root system of a Hirzebruch model lives
 orthogonal to {K, f, b}.  For the D-type configuration the defining
@@ -26,8 +27,7 @@ value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial, gcd, isqrt, lcm
 from operator import add, sub
 
 from . import _enumkernel
@@ -54,10 +54,11 @@ from .lattice import (
 
 
 def _diag_setup(model: SurfaceModel):
-    """Return (enumeration model, to_diag, from_diag) for a surface model.
+    """Return (enumeration model, to_diag) for a surface model.
 
     P^2 models already carry a diagonal Gram matrix.  Hirzebruch models are
-    enumerated in their companion plane presentation and mapped back.
+    enumerated in their companion plane presentation; ``enumerate_classes``
+    maps the solutions back.
     """
     if model.kind == KIND_HIRZEBRUCH:
         companion = p2_presentation(model)
@@ -65,19 +66,20 @@ def _diag_setup(model: SurfaceModel):
         def fwd(c: LatticeClass) -> LatticeClass:
             return change_basis(model, companion, c)
 
-        def back(c: LatticeClass) -> LatticeClass:
-            return change_basis(companion, model, c)
-
-        return companion, fwd, back
-    return model, (lambda c: c), (lambda c: c)
+        return companion, fwd
+    return model, (lambda c: c)
 
 
-def _sqrt_upper(x: Fraction) -> Fraction:
-    """An exact rational upper bound for sqrt(x), x >= 0."""
-    if x <= 0:
-        return Fraction(0)
-    p, q = x.numerator, x.denominator
-    return Fraction(isqrt(p * q) + 1, q)
+def _sqrt_upper(num: int, den: int) -> tuple[int, int]:
+    """An exact rational upper bound (p, q) for sqrt(num / den), den > 0.
+
+    With num / den = a / b in lowest terms it is (isqrt(a * b) + 1) / b.
+    """
+    if num <= 0:
+        return 0, 1
+    g = gcd(num, den)
+    a, b = num // g, den // g
+    return isqrt(a * b) + 1, b
 
 
 def coefficient_bounds(
@@ -124,30 +126,35 @@ def coefficient_bounds(
             raise EnumerationBoundError(
                 "enumeration bound exceeded: residual lattice is not negative definite"
             )
-    # gram_U is nondegenerate, so [gram_U | I] reduces to [I | gram_U^-1]
+    # gram_U is nondegenerate, so [gram_U | I] reduces to [I | gram_U^-1];
+    # over den, the lcm of the pivot entries, its rows are the ints inv = den * gram_U^-1
     inverse = Echelon()
     inverse.extend(row + [int(a == b) for b in range(k)] for a, row in enumerate(gram_u))
-    inv = [[Fraction(row.get(k + b, 0), row[c]) for b in range(k)] for c, row in inverse.reduced()]
+    rows = inverse.reduced()
+    den = lcm(*(row[c] for c, row in rows))
+    inv = [[row.get(k + b, 0) * (den // row[c]) for b in range(k)] for c, row in rows]
 
+    # numerators over den: the U-part of a solution, x_u, and its norm gap q_y
     coeffs = [sum(g * t for g, t in zip(row, targets)) for row in inv]
     x_u = [sum(c * u[i] for c, u in zip(coeffs, u_vecs)) for i in range(r)]
-    q_y = sum(c * t for c, t in zip(coeffs, targets)) - self_intersection
+    q_y = sum(c * t for c, t in zip(coeffs, targets)) - self_intersection * den
     if q_y < 0:
         return None  # sphere radius would be imaginary: empty
 
     bounds: list[int] = []
     for i in range(r):
-        # squared norm of the U-perp part of the dual vector e_i / d_i
+        # -q_z is the squared norm of the U-perp part of the dual vector e_i / d_i:
+        # 1/d_i - ui . gram_U^-1 . ui = (den - d_i * ui.inv.ui) / (d_i * den)
         ui = [u[i] for u in u_vecs]
-        z_sq = Fraction(1, diag[i]) - sum(
-            ua * sum(g * ub for g, ub in zip(row, ui)) for ua, row in zip(ui, inv)
-        )
-        q_z = -z_sq
+        ui_inv_ui = sum(ua * sum(g * ub for g, ub in zip(row, ui)) for ua, row in zip(ui, inv))
+        q_z = diag[i] * ui_inv_ui - den
+        if diag[i] < 0:
+            q_z = -q_z  # keep the denominator |d_i| * den positive
         if q_z < 0:
             raise EnumerationBoundError("enumeration bound exceeded: projection not definite")
-        radius = _sqrt_upper(q_z * q_y)
-        hi = abs(x_u[i]) + radius
-        bounds.append(int(hi))  # int() truncates toward zero == floor for hi >= 0
+        # |x_i| <= |x_u| + sqrt(q_z * q_y) = |x_u| + p / q, rounded down
+        p, q = _sqrt_upper(q_z * q_y, abs(diag[i]) * den * den)
+        bounds.append((abs(x_u[i]) * q + p * den) // (den * q))
     return bounds
 
 
@@ -159,7 +166,7 @@ def enumerate_classes(
     bound_margin: int = 0,
 ) -> list[LatticeClass]:
     """Complete list of classes with x*x = self_intersection and fixed pairings."""
-    diag_model, fwd, back = _diag_setup(model)
+    diag_model, fwd = _diag_setup(model)
     diag_constraints = [(fwd(u), t) for u, t in constraints]
     bounds = coefficient_bounds(diag_model, self_intersection, diag_constraints)
     if bounds is None:
@@ -173,8 +180,11 @@ def enumerate_classes(
         rows.append([gram[i][i] * u.coeffs[i] for i in range(diag_model.rank)])
         tgts.append(t)
     sols = _enumkernel.enumerate_diag(self_intersection, bounds, rows, tgts)
-    found = [back(diag_model.cls(v)) for v in sols]
-    return sorted(found, key=lambda c: c.coeffs)
+    if diag_model is not model:
+        # the companion map of change_basis: (a_h, a_0, m..) -> (a_h + a_0) b + a_h f + m.l
+        sols = [(v[0] + v[1], v[0]) + v[2:] for v in sols]
+    basis = model.basis_id
+    return [LatticeClass(v, basis) for v in sorted(sols)]
 
 
 def enumerate_lines(

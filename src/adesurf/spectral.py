@@ -71,8 +71,6 @@ def discriminant(cover: CoverPoly, method: str = "prs") -> QPoly:
     den = lcm(*(c.denominator for p in polys for c in p.coeffs))
     f = [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys]
     df = u_derivative(f)
-    if not df:
-        raise NonReducedCoverError("cover has constant fiber polynomial")
     if method == "sylvester":
         res = u_resultant_sylvester(f, df)
     elif method == "prs":

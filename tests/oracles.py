@@ -6,6 +6,11 @@ kernel.  Pruning is restricted to provable infeasibility (square budget,
 linear reach, and a parity cut when every remaining linear coefficient is
 odd), so the scan is exhaustive within the box.
 
+``full_box_sweep`` is the package's kernel as it was before it learned to
+sweep one representative per orbit of interchangeable coordinates: the
+layer-by-layer sweep with the same three cuts over the whole box, whose
+rows come out sorted because each layer is extended in ascending order.
+
 ``dense_coefficient_bounds`` computes the enumeration box with dense
 Fraction algebra over the whole lattice: a nullspace definiteness test and
 one linear solve per coordinate.
@@ -224,6 +229,42 @@ def brute_force_diag(s, bounds, rows, targets):
 
     rec(0, 0)
     return sorted(out)
+
+
+def full_box_sweep(s, bounds, rows, targets):
+    """All solutions in the box, sorted, by a layer sweep over every coordinate."""
+    r = len(bounds)
+    sq_cap = [0] * (r + 1)
+    for i in range(r - 1, 0, -1):
+        sq_cap[i] = sq_cap[i + 1] + bounds[i] * bounds[i]
+    steps = []
+    for i in range(r):
+        tails = [
+            (sum(abs(c) * b for c, b in zip(row[i + 1:], bounds[i + 1:])),
+             sum(c * c for c in row[i + 1:]))
+            for row in rows
+        ]
+        steps.append((tuple(row[i] for row in rows), tails))
+
+    layer = [((), -s, tuple(targets))]
+    for i, (col, tails) in enumerate(steps):
+        cap = sq_cap[i + 1]
+        sign = 1 if i == 0 else -1
+        nxt = []
+        for prefix, q, need in layer:
+            b = bounds[0] if i == 0 else min(bounds[i], isqrt(q))
+            for x in range(-b, b + 1):
+                q2 = q + sign * x * x
+                if q2 < 0 or q2 > cap:
+                    continue
+                need2 = tuple(n - c * x for n, c in zip(need, col))
+                for n, (reach, sq) in zip(need2, tails):
+                    if n > reach or -n > reach or n * n > sq * q2:
+                        break
+                else:
+                    nxt.append((prefix + (x,), q2, need2))
+        layer = nxt
+    return [prefix for prefix, _, _ in layer]
 
 
 def literal_box_scan(s, bounds, rows, targets):

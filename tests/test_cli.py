@@ -116,6 +116,24 @@ def test_weights_of_all_lines_stdout_is_pinned(capsys):
     )
 
 
+# sha256 of stdout, taken before the kernel swept one representative per
+# orbit of interchangeable coordinates
+_ENUMERATION_DIGESTS = {
+    "lines --kind p2 --n 8": "bf91faa85509167c15404b502e9d239dd4db0c1cfcfb6f1a23e4376eb41ae1aa",
+    "lines --kind hirzebruch --n 7 --constraint f=1":
+        "bb588d39ee3efcbe05e34c3200bdb04c62a45e8f7199da82210d3d266fd80892",
+    "roots --kind p2 --n 8": "932646c94a31a5b3ebd8fe8b7b15c0b20f542dd826c26a11f963e06fe0691b6d",
+    "roots --kind hirzebruch --n 7": "331e7b4a06fd740a34a74e167747c4b6ed0d929e6e97bada77d31929c7e2bd9a",
+}
+
+
+@pytest.mark.parametrize("argv", list(_ENUMERATION_DIGESTS))
+def test_enumeration_stdout_is_pinned(capsys, argv):
+    code, out = run_cli(capsys, argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _ENUMERATION_DIGESTS[argv]
+
+
 def test_suite_fast_path(capsys):
     code, out = run_cli(capsys, ["suite", "--name", "paper-checks", "--trials", "16", "--maxdeg", "3"])
     doc = json.loads(out)

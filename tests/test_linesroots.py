@@ -34,6 +34,7 @@ from .oracles import (
     brute_force_diag,
     dense_coefficient_bounds,
     diag_rows_for_class,
+    full_box_sweep,
     literal_box_scan,
     pairwise_simple_roots,
     weyl_orbit_bfs,
@@ -459,6 +460,34 @@ def test_kernel_matches_literal_box_scan(system):
     assert enumerate_diag(*system) == literal_box_scan(*system)
 
 
+@st.composite
+def diag_systems_with_runs(draw):
+    """Systems whose coordinates i >= 1 come in runs of 1-4 interchangeable ones.
+
+    Inside a run every coordinate has the same bound and the same column in
+    every constraint row; neighbouring runs that happen to agree merge.
+    """
+    m = draw(st.integers(0, 2))
+    column = st.lists(st.integers(-2, 2), min_size=m, max_size=m)
+    bounds, cols = [draw(st.integers(0, 3))], [draw(column)]
+    for length in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(lambda ls: sum(ls) <= 8)):
+        b, c = draw(st.integers(0, 2)), draw(column)
+        bounds += [b] * length
+        cols += [c] * length
+    rows = [[c[j] for c in cols] for j in range(m)]
+    targets = draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
+    s = draw(st.integers(-5, 3))
+    return s, bounds, rows, targets
+
+
+@settings(max_examples=300, deadline=None)
+@given(diag_systems_with_runs())
+def test_kernel_matches_oracles_on_interchangeable_runs(system):
+    got = enumerate_diag(*system)
+    assert got == full_box_sweep(*system)
+    assert got == brute_force_diag(*system)
+
+
 @pytest.mark.parametrize("margin", [0, 2])
 def test_pruned_layers_fit_small_row_budget(monkeypatch, margin):
     # without the Cauchy-Schwarz cut the largest dP8 layer has ~6e5 candidate
@@ -471,6 +500,18 @@ def test_layer_guard_refuses(monkeypatch):
     monkeypatch.setattr(_enumkernel, "_MAX_LAYER_ROWS", 50)
     with pytest.raises(EnumerationBoundError, match="layer too large"):
         enumerate_lines(p2_blowup(8))
+
+
+def test_layer_guard_counts_the_expanded_solutions(monkeypatch):
+    # the dP8 sweeps visit at most a few hundred candidates per layer, but the
+    # 15 conic representatives expand into 2160 classes
+    m = p2_blowup(8)
+    monkeypatch.setattr(_enumkernel, "_MAX_LAYER_ROWS", 1000)
+    assert len(enumerate_lines(m)) == 240
+    with pytest.raises(EnumerationBoundError, match="layer too large"):
+        enumerate_classes(m, 0, [(m.K, -2)])
+    monkeypatch.setattr(_enumkernel, "_MAX_LAYER_ROWS", 2160)
+    assert len(enumerate_classes(m, 0, [(m.K, -2)])) == 2160
 
 
 def _outcome(fn, *args):
