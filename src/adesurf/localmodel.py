@@ -42,7 +42,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
+from functools import cache
 
 from ._linalg import Coeff, Echelon, exact, nullspace, rank
 from .errors import AdesurfError, RingConstructionError
@@ -62,6 +62,18 @@ def _accumulate(out: Terms, terms: Terms, scale: Coeff = 1) -> Terms:
     return out
 
 
+@cache
+def _monomial_sum(nvars: int):
+    """The exponent-wise sum of two monomials in `nvars` variables, unrolled.
+
+    ``(a[0] + b[0], a[1] + b[1], ...)`` takes about a third of the time of
+    ``tuple(map(add, a, b))`` on the rings here, and every product and
+    rewriting step goes through it.
+    """
+    body = "".join(f"a[{i}] + b[{i}], " for i in range(nvars))
+    return eval(f"lambda a, b: ({body})")
+
+
 def _product(a: Terms, b: Terms) -> Terms:
     """The product of two term dicts multiplied out, without reduction.
 
@@ -69,9 +81,12 @@ def _product(a: Terms, b: Terms) -> Terms:
     ``TruncRing.reduce_terms`` drop it when the product is summed in.
     """
     out: Terms = {}
+    if not (a and b):
+        return out
+    mono_sum = _monomial_sum(len(next(iter(a))))
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            mon = tuple(map(add, m1, m2))
+            mon = mono_sum(m1, m2)
             out[mon] = out.get(mon, 0) + c1 * c2
     return out
 
@@ -105,7 +120,9 @@ class TruncRing:
                 )
             self.relations[rel.var] = rel
         self._check_acyclic()
+        self._mono_sum = _monomial_sum(self.nvars)
         self._basis_cache: dict[int, list[Monomial]] = {}
+        self._subring_cache: dict[tuple[tuple[int, ...], int], list[Monomial]] = {}
         self._normal_forms: dict[Monomial, Terms] = {}
 
     # -- construction helpers ------------------------------------------------
@@ -197,7 +214,7 @@ class TruncRing:
         rel = self.relations[v]
         rest = list(mon)
         rest[v] -= rel.power
-        return [(tuple(map(add, rest, rmon)), rcoeff) for rmon, rcoeff in rel.rhs]
+        return [(self._mono_sum(rest, rmon), rcoeff) for rmon, rcoeff in rel.rhs]
 
     def normal_form(self, mon: Monomial) -> Terms:
         """Normal form of one monomial, computed once per ring.
@@ -257,30 +274,28 @@ class TruncRing:
         return out
 
     def basis(self, d: int) -> list[Monomial]:
-        """Normal-form monomials of degree d, sorted."""
+        """Normal-form monomials of degree d, sorted; the caller must not change the list."""
         if d < 0:
             return []
-        if d in self._basis_cache:
-            return self._basis_cache[d]
-        out: list[Monomial] = []
-        caps = [
-            (self.relations[v].power - 1) if v in self.relations else None
-            for v in range(self.nvars)
-        ]
+        out = self._basis_cache.get(d)
+        if out is not None:
+            return out
+        out = []
+        n, degrees = self.nvars, self.var_degrees
+        caps = [self.relations[v].power - 1 if v in self.relations else d for v in range(n)]
+        exps = [0] * n  # the exponents chosen so far, overwritten in place
 
-        def rec(i: int, remaining: int, prefix: list[int]) -> None:
-            if i == self.nvars:
+        def rec(i: int, remaining: int) -> None:
+            if i == n:
                 if remaining == 0:
-                    out.append(tuple(prefix))
+                    out.append(tuple(exps))
                 return
-            dv = self.var_degrees[i]
-            top = remaining // dv
-            if caps[i] is not None:
-                top = min(top, caps[i])
-            for e in range(top + 1):
-                rec(i + 1, remaining - e * dv, prefix + [e])
+            dv = degrees[i]
+            for e in range(min(remaining // dv, caps[i]) + 1):
+                exps[i] = e
+                rec(i + 1, remaining - e * dv)
 
-        rec(0, d, [])
+        rec(0, d)
         out.sort()
         self._basis_cache[d] = out
         return out
@@ -292,9 +307,18 @@ class TruncRing:
         return len(self.basis(d))
 
     def subring_monomials(self, coeff_vars: tuple[int, ...], d: int) -> list[Monomial]:
-        """Normal-form monomials of degree d supported on the given variables."""
-        allowed = set(coeff_vars)
-        return [m for m in self.basis(d) if all(e == 0 or i in allowed for i, e in enumerate(m))]
+        """Normal-form monomials of degree d supported on the given variables, sorted.
+
+        Kept per (coeff_vars, d) for the life of the ring; the caller must
+        not change the list.
+        """
+        key = (tuple(coeff_vars), d)
+        out = self._subring_cache.get(key)
+        if out is None:
+            outside = [i for i in range(self.nvars) if i not in key[0]]
+            out = [m for m in self.basis(d) if not any(m[i] for i in outside)]
+            self._subring_cache[key] = out
+        return out
 
 
 class RingElement:
@@ -507,6 +531,35 @@ class DegreeCheck:
     first_failure_degree: int | None = None
 
 
+def _generation_bound(ring: TruncRing, target: GradedModule, candidate: GradedModule) -> int | None:
+    """A degree a such that target_d = candidate_d for d <= a implies it in every degree.
+
+    Write S_T for the target's coefficient variables and S_C for the
+    candidate's.  When S_C lies in S_T, every variable of S_T outside S_C
+    is rewritten by a relation (so its exponent is capped), and no
+    relation of a variable in S_C leaves S_C, the normal-form monomials in
+    S_C span a subring A and both spans are A-modules: the candidate is
+    generated by its generators, and the target by g * m, for g a target
+    generator and m a normal-form monomial in the capped extra variables.
+    Two graded A-modules whose generators all lie in degrees <= a and
+    which agree there agree everywhere (graded Nakayama), so a is the
+    largest of those generator degrees.  Otherwise there is no bound: None.
+    """
+    s_t, s_c = set(target.coeff_vars), set(candidate.coeff_vars)
+    rewritten = set(ring.relations)
+    extra = s_t - s_c
+    if not (s_c <= s_t and extra <= rewritten):
+        return None
+    for v in s_c & rewritten:
+        if any(e and w not in s_c for mon, _ in ring.relations[v].rhs for w, e in enumerate(mon)):
+            return None
+    # the normal-form monomial in the extra variables of largest degree
+    top_extra = sum((ring.relations[v].power - 1) * ring.var_degrees[v] for v in extra)
+    degrees = [g.degree + top_extra for g in target.generators]
+    degrees += [g.degree for g in candidate.generators]
+    return max(degrees, default=0)
+
+
 def check_generate(
     ring: TruncRing,
     target: GradedModule,
@@ -514,9 +567,17 @@ def check_generate(
     over_vars,
     maxdeg: int,
 ) -> DegreeCheck:
-    """Do the generators span the target in every degree <= maxdeg?"""
+    """Do the generators span the target in every degree <= maxdeg?
+
+    The degrees run upward and the first one where the spans differ is
+    reported.  When ``_generation_bound`` proves that agreement up to some
+    degree a implies agreement in every degree, the loop stops at a.
+    """
     over = _var_indices(ring, over_vars)
     candidate = GradedModule(ring, tuple(gens), over)
+    bound = _generation_bound(ring, target, candidate)
+    if bound is not None:
+        maxdeg = min(bound, maxdeg)
     for d in range(maxdeg + 1):
         tvecs = _vectors(ring, target.spanning_elements(d), d)
         cvecs = _vectors(ring, candidate.spanning_elements(d), d)
@@ -549,10 +610,13 @@ def min_generator_profile(ring: TruncRing, ideal_gens, maxdeg: int) -> list[int]
     module = GradedModule.over_full_ring(ring, tuple(ideal_gens))
     profile = []
     for d in range(maxdeg + 1):
+        units = [g for g in module.generators if g.degree == d]
+        if not units:  # nothing of degree d can enlarge (mI)_d
+            profile.append(0)
+            continue
         # (mI)_d first; the generators of degree d then add dim (I / mI)_d
         span = Echelon()
         span.extend(_vectors(ring, module.spanning_elements(d, skip_units=True), d))
-        units = [g for g in module.generators if g.degree == d]
         profile.append(span.extend(_vectors(ring, units, d)))
     return profile
 

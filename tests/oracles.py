@@ -54,6 +54,13 @@ package's run over Z, with primitive PRS gcds, is tested against them.
 their model, and ``dense_dual`` is the dense product Gram * c; the
 package's sparse pairing rows are tested against them.
 
+``full_check_generate`` and ``full_min_generator_profile`` are the
+graded checks as the package first ran them: every degree up to maxdeg
+is eliminated, with no degree bound and no skipped degree.  The
+package's bounded loops are tested against them.  ``recursive_basis``
+lists a ring's normal-form monomials of one degree by the first
+recursion, which copies its prefix list at every node.
+
 ``sympy_poly`` and ``qpoly_of`` convert a QPoly to a ``sympy.Poly`` in t
 over QQ and back, so the package's polynomial arithmetic can be tested
 against sympy's.  ``sympy_resultant`` is the resultant in u of two
@@ -74,6 +81,7 @@ import itertools
 from fractions import Fraction
 from math import isqrt
 
+from adesurf import localmodel as lm
 from adesurf.errors import AdesurfError, BasisMismatchError, EnumerationBoundError, OrbitCapExceededError
 from adesurf.lattice import LatticeClass
 from adesurf.linesroots import _positivity_functional
@@ -714,3 +722,51 @@ def dense_pair(model, a, b):
     if a.basis_id != model.basis_id or b.basis_id != model.basis_id:
         raise BasisMismatchError(f"pairing on {model.basis_id!r} got {a.basis_id!r} and {b.basis_id!r}")
     return sum(x * y for x, y in zip(a.coeffs, dense_dual(model, b)))
+
+
+def full_check_generate(ring, target, gens, over_vars, maxdeg):
+    """``localmodel.check_generate`` run through every degree <= maxdeg."""
+    candidate = lm.GradedModule(ring, tuple(gens), lm._var_indices(ring, over_vars))
+    for d in range(maxdeg + 1):
+        tvecs = lm._vectors(ring, target.spanning_elements(d), d)
+        cvecs = lm._vectors(ring, candidate.spanning_elements(d), d)
+        span = lm.Echelon()
+        tdim = span.extend(tvecs)
+        if tdim != lm.rank(cvecs) or span.extend(cvecs):
+            return lm.DegreeCheck(False, d)
+    return lm.DegreeCheck(True, None)
+
+
+def full_min_generator_profile(ring, ideal_gens, maxdeg):
+    """``localmodel.min_generator_profile`` with (mI)_d eliminated in every degree."""
+    module = lm.GradedModule.over_full_ring(ring, tuple(ideal_gens))
+    profile = []
+    for d in range(maxdeg + 1):
+        span = lm.Echelon()
+        span.extend(lm._vectors(ring, module.spanning_elements(d, skip_units=True), d))
+        units = [g for g in module.generators if g.degree == d]
+        profile.append(span.extend(lm._vectors(ring, units, d)))
+    return profile
+
+
+def recursive_basis(ring, d):
+    """Normal-form monomials of degree d, sorted, by a recursion over exponent prefixes."""
+    if d < 0:
+        return []
+    out = []
+    caps = [(ring.relations[v].power - 1) if v in ring.relations else None for v in range(ring.nvars)]
+
+    def rec(i, remaining, prefix):
+        if i == ring.nvars:
+            if remaining == 0:
+                out.append(tuple(prefix))
+            return
+        dv = ring.var_degrees[i]
+        top = remaining // dv
+        if caps[i] is not None:
+            top = min(top, caps[i])
+        for e in range(top + 1):
+            rec(i + 1, remaining - e * dv, prefix + [e])
+
+    rec(0, d, [])
+    return sorted(out)

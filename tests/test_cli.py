@@ -436,6 +436,17 @@ def test_localmodel_verify(capsys):
     assert doc["min_generators"] == {"cartier_sum": 1, "universal_divisor": 2}
 
 
+def test_localmodel_verify_warns_near_the_truncation_bound(capsys):
+    assert run(["localmodel", "verify", "--maxdeg", "2"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["truncation_warning"] is True
+    assert captured.err == (
+        "warning: a verified claim only settles near the truncation bound; raise --maxdeg\n"
+    )
+    assert run(["localmodel", "verify", "--maxdeg", "3"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_localmodel_verify_has_no_suite_flag():
     with pytest.raises(SystemExit) as exc:
         run(["localmodel", "verify", "--suite", "conifold"])
