@@ -18,6 +18,11 @@ Membership, generation, freeness and minimal-generator questions are all
 answered degree by degree: each element becomes a sparse integer row over
 the normal-form monomials, and ``_linalg.Echelon`` reduces those rows
 fraction-free, extending one echelon where a question compares two spans.
+Two questions stop early where graded Nakayama settles them:
+``check_generate`` stops at the degree ``_generation_bound`` proves
+sufficient, when there is one, and ``min_generator_profile`` eliminates
+only in the degrees of the ideal's generators, since (I/mI)_d is 0 in
+every other degree.
 
 The second half of the file is the branch-locus verification suite: the
 local rings of a spectral cover's double point (s^2 = t), of the family

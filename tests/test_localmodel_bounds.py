@@ -118,10 +118,10 @@ def generation_problems(draw):
 def test_check_generate_matches_full_loop(problem):
     ring, target, cand, over = problem
     full = full_check_generate(ring, target, cand, over, MAXDEG)
+    first = full.first_failure_degree
     for maxdeg in range(MAXDEG + 1):
         # the full loop at maxdeg stops where the one at MAXDEG first fails
-        want = full if full.first_failure_degree is not None and full.first_failure_degree <= maxdeg \
-            else lm.DegreeCheck(True, None)
+        want = full if first is not None and first <= maxdeg else lm.DegreeCheck(True, None)
         assert lm.check_generate(ring, target, cand, over, maxdeg) == want, maxdeg
 
 
@@ -166,7 +166,7 @@ def test_generation_bound_conditions():
     # y is not rewritten, so its powers are not capped over C[x, z]
     assert bound(whole, (0, 2)) is None
     # the candidate's s is rewritten into x, y, z outside its variables
-    assert bound(lm.GradedModule(ring, (ring.const(1),), (0, 3)), (3,)) is None
+    assert bound(lm.GradedModule(ring, (ring.const(1),), (3,)), (3,)) is None
     # the candidate has a variable the target lacks
     assert bound(lm.GradedModule(ring, (ring.const(1),), (0, 1)), (0, 1, 2)) is None
 
