@@ -11,8 +11,10 @@ the additive rule
     l_i -> p_i,   b -> 0,   f -> 0,
 
 so l_i - l_0 lands on p_i and f - l_i - l_0 on -p_i, matching the twisted
-fundamental and vector configurations.  Only degree-zero summands restrict;
-callers must twist first.
+fundamental and vector configurations.  The rule is linear: a class
+restricts to its pairing with the sparse marking row of (position of l_i,
+p_i), taken mod N, just as its boundary degree is its pairing with the
+row of E.  Only degree-zero summands restrict; callers must twist first.
 
 Known limitation of the finite model: a small N relative to the number of
 blowup points invites torsion artifacts (distinct points colliding mod N
@@ -153,26 +155,6 @@ def boundary_degree(model: SurfaceModel, cls: LatticeClass) -> int:
     return dot(cls.coeffs, model.e_row)
 
 
-MarkingRow = tuple[tuple[int, int, int | None], ...]
-
-
-def _marking_row(model: SurfaceModel, marking: EMarking) -> MarkingRow:
-    """(position, i, p_i) for each l_i of the model; p_i is None when unmarked."""
-    points = dict(marking.points)
-    return tuple((j, i, points.get(i)) for j, i in model.exceptional_positions)
-
-
-def _restrict_class(cls: LatticeClass, row: MarkingRow, order: int) -> int:
-    value = 0
-    x = cls.coeffs
-    for j, i, p in row:  # b and f (and h) restrict through the identity point
-        if x[j]:
-            if p is None:
-                raise AdesurfError(f"marking has no point for l{i}")
-            value += x[j] * p
-    return value % order
-
-
 def restrict_to_boundary(bundle: FormalBundle, marking: EMarking) -> EBundleClass:
     """Restrict a degree-zero bundle to the boundary curve's group model."""
     model = bundle.model
@@ -182,11 +164,17 @@ def restrict_to_boundary(bundle: FormalBundle, marking: EMarking) -> EBundleClas
             raise BoundaryRestrictionError(
                 f"summand {cls.coeffs} has boundary degree {deg}; twist before restricting"
             )
-    row = _marking_row(model, marking)
+    # l_i -> p_i and b, f, h -> 0: one dot product with the marking row
+    marked = dict(marking.points)
+    row = tuple((j, marked[i]) for j, i in model.exceptional_positions if i in marked)
+    unmarked = tuple((j, i) for j, i in model.exceptional_positions if i not in marked)
     entries: list[PointEntry] = []
     plain: dict[int, int] = {}
     for gid, classes in bundle.blocks():
-        points = {_restrict_class(c, row, marking.order) for c in classes}
+        lost = [i for cls in classes for j, i in unmarked if cls.coeffs[j]]
+        if lost:
+            raise AdesurfError(f"marking has no point for l{lost[0]}")
+        points = {dot(cls.coeffs, row) % marking.order for cls in classes}
         if len(points) != 1:
             raise BoundaryRestrictionError(
                 "filtration block restricts to several distinct points; "

@@ -441,52 +441,54 @@ def cmd_restrict(args) -> dict:
     return doc
 
 
-def cmd_spectral(args) -> dict:
-    if args.spectral_action == "analyze":
-        from .spectral import branch_report
+def cmd_spectral_analyze(args) -> dict:
+    from .spectral import branch_report
 
-        kind, value = load_spectral(args.cover)
-        if kind != "cover":
-            raise SchemaError("<root>", "analyze expects a cover file with 'coeffs'")
-        report = branch_report(value)
-        return {
-            "n": value.n,
-            "discriminant": qpoly_doc(report.discriminant),
-            "branch_points": list(report.branch_points),
-            "branch_multiplicities": list(report.branch_multiplicities),
-            "ramification_profile": [
-                {"t": t, "partition": list(p)} for t, p in report.ramification_profile
-            ],
-            "nonrational_factors": [qpoly_doc(f) for f in report.nonrational_factors],
-        }
-    if args.spectral_action == "sen":
-        from .spectral import sen_delta
+    kind, value = load_spectral(args.cover)
+    if kind != "cover":
+        raise SchemaError("<root>", "analyze expects a cover file with 'coeffs'")
+    report = branch_report(value)
+    return {
+        "n": value.n,
+        "discriminant": qpoly_doc(report.discriminant),
+        "branch_points": list(report.branch_points),
+        "branch_multiplicities": list(report.branch_multiplicities),
+        "ramification_profile": [
+            {"t": t, "partition": list(p)} for t, p in report.ramification_profile
+        ],
+        "nonrational_factors": [qpoly_doc(f) for f in report.nonrational_factors],
+    }
 
-        b2 = parse_qpoly_arg(args.b2, "--b2")
-        b4 = parse_qpoly_arg(args.b4, "--b4")
-        b6 = parse_qpoly_arg(args.b6, "--b6")
-        fam = sen_delta(b2, b4, b6, {"d_K": args.dK, "d_L": args.dL})
-        return {
-            "delta": qpoly_doc(fam.delta),
-            "fiber_degree_delta": fam.fiber_degree_delta,
-            "cover_degree": fam.cover_degree,
-            "degenerate": fam.degenerate,
-        }
-    if args.spectral_action == "picard":
-        from .lattice import build_surface
-        from .spectral import fiber_picard
 
-        model = build_surface("hirzebruch", args.n)
-        decomp = fiber_picard(model)
-        return {
-            "basis": model.basis_id,
-            "root_block": [list(c.coeffs) for c in decomp.root_block],
-            "boundary": list(decomp.boundary.coeffs),
-            "section": list(decomp.section.coeffs),
-            "fiber": list(decomp.fiber.coeffs),
-            "root_rank": decomp.root_rank,
-        }
-    raise SchemaError("spectral", f"unknown action {args.spectral_action!r}")
+def cmd_spectral_sen(args) -> dict:
+    from .spectral import sen_delta
+
+    b2 = parse_qpoly_arg(args.b2, "--b2")
+    b4 = parse_qpoly_arg(args.b4, "--b4")
+    b6 = parse_qpoly_arg(args.b6, "--b6")
+    fam = sen_delta(b2, b4, b6, {"d_K": args.dK, "d_L": args.dL})
+    return {
+        "delta": qpoly_doc(fam.delta),
+        "fiber_degree_delta": fam.fiber_degree_delta,
+        "cover_degree": fam.cover_degree,
+        "degenerate": fam.degenerate,
+    }
+
+
+def cmd_spectral_picard(args) -> dict:
+    from .lattice import build_surface
+    from .spectral import fiber_picard
+
+    model = build_surface("hirzebruch", args.n)
+    decomp = fiber_picard(model)
+    return {
+        "basis": model.basis_id,
+        "root_block": [list(c.coeffs) for c in decomp.root_block],
+        "boundary": list(decomp.boundary.coeffs),
+        "section": list(decomp.section.coeffs),
+        "fiber": list(decomp.fiber.coeffs),
+        "root_rank": decomp.root_rank,
+    }
 
 
 def cmd_transform(args) -> dict:
@@ -519,36 +521,36 @@ def _check_degree(flag: str, value: int) -> None:
         raise SchemaError(flag, f"expected a degree >= 0, got {value}")
 
 
-def cmd_localmodel(args) -> dict:
-    if args.localmodel_action == "verify":
-        from .localmodel import verify_extension_chain
+def cmd_localmodel_verify(args) -> dict:
+    from .localmodel import verify_extension_chain
 
-        _check_degree("--maxdeg", args.maxdeg)
-        report = verify_extension_chain(args.maxdeg)
-        if report.truncation_warning:
-            _warn("a verified claim only settles near the truncation bound; raise --maxdeg")
-        return {
-            "suite": "conifold",
-            "maxdeg": report.maxdeg,
-            "ok": report.ok,
-            "truncation_warning": report.truncation_warning,
-            "checks": dict(sorted(report.checks.items())),
-            "failures": [[name, deg] for name, deg in report.failures],
-            "dims": report.dims,
-            "min_generators": report.min_generators,
-            "split_direct_sum": list(report.split_direct_sum or ()),
-            "split_pushforward": list(report.split_pushforward or ()),
-        }
-    if args.localmodel_action == "dims":
-        _check_degree("--upto", args.upto)
-        ring = load_ring_doc(args.ring)
-        upto = min(args.upto, ring.max_degree)
-        return {
-            "vars": [{"name": n, "degree": d} for n, d in zip(ring.var_names, ring.var_degrees)],
-            "max_degree": ring.max_degree,
-            "dims": [ring.graded_dim(d) for d in range(upto + 1)],
-        }
-    raise SchemaError("localmodel", f"unknown action {args.localmodel_action!r}")
+    _check_degree("--maxdeg", args.maxdeg)
+    report = verify_extension_chain(args.maxdeg)
+    if report.truncation_warning:
+        _warn("a verified claim only settles near the truncation bound; raise --maxdeg")
+    return {
+        "suite": "conifold",
+        "maxdeg": report.maxdeg,
+        "ok": report.ok,
+        "truncation_warning": report.truncation_warning,
+        "checks": dict(sorted(report.checks.items())),
+        "failures": [[name, deg] for name, deg in report.failures],
+        "dims": report.dims,
+        "min_generators": report.min_generators,
+        "split_direct_sum": list(report.split_direct_sum or ()),
+        "split_pushforward": list(report.split_pushforward or ()),
+    }
+
+
+def cmd_localmodel_dims(args) -> dict:
+    _check_degree("--upto", args.upto)
+    ring = load_ring_doc(args.ring)
+    upto = min(args.upto, ring.max_degree)
+    return {
+        "vars": [{"name": n, "degree": d} for n, d in zip(ring.var_names, ring.var_degrees)],
+        "max_degree": ring.max_degree,
+        "dims": [ring.graded_dim(d) for d in range(upto + 1)],
+    }
 
 
 def cmd_suite(args) -> dict:
@@ -645,17 +647,17 @@ def build_parser() -> argparse.ArgumentParser:
     psub = p.add_subparsers(dest="spectral_action", required=True)
     pa = psub.add_parser("analyze", help="discriminant, branch points, ramification")
     pa.add_argument("--cover", required=True, help="cover JSON file")
-    pa.set_defaults(func=cmd_spectral)
+    pa.set_defaults(func=cmd_spectral_analyze)
     ps = psub.add_parser("sen", help="conic-family discriminant bookkeeping")
     ps.add_argument("--b2", required=True, help="JSON array of rationals")
     ps.add_argument("--b4", required=True, help="JSON array of rationals")
     ps.add_argument("--b6", required=True, help="JSON array of rationals")
     ps.add_argument("--dK", type=int, default=2)
     ps.add_argument("--dL", type=int, required=True)
-    ps.set_defaults(func=cmd_spectral)
+    ps.set_defaults(func=cmd_spectral_sen)
     pp = psub.add_parser("picard", help="fiber lattice decomposition")
     pp.add_argument("--n", type=int, required=True)
-    pp.set_defaults(func=cmd_spectral)
+    pp.set_defaults(func=cmd_spectral_picard)
 
     p = sub.add_parser("transform", help="spectral datum to bundle on the surface fiber")
     tsub = p.add_subparsers(dest="transform_action", required=True)
@@ -669,11 +671,11 @@ def build_parser() -> argparse.ArgumentParser:
     lsub = p.add_subparsers(dest="localmodel_action", required=True)
     lv = lsub.add_parser("verify")
     lv.add_argument("--maxdeg", type=int, default=8)
-    lv.set_defaults(func=cmd_localmodel)
+    lv.set_defaults(func=cmd_localmodel_verify)
     ld = lsub.add_parser("dims")
     ld.add_argument("--ring", required=True, help="ring JSON file")
     ld.add_argument("--upto", type=int, required=True)
-    ld.set_defaults(func=cmd_localmodel)
+    ld.set_defaults(func=cmd_localmodel_dims)
 
     p = sub.add_parser("suite", help="aggregated paper-checks report")
     p.add_argument("--name", default="paper-checks")

@@ -99,7 +99,13 @@ def transform(
     twist_mode: str = TWIST_FULL,
     collisions: CollisionConfig | None = None,
 ) -> TransformResult:
-    """Turn a spectral fiber datum into a formal bundle on the surface fiber."""
+    """Turn a spectral fiber datum into a formal bundle on the surface fiber.
+
+    One walk over the datum's point blocks builds the summands, the
+    collision blocks, the boundary degrees and the boundary class.  The
+    collision check reads the forced pairs straight off the sorted points
+    and builds no CollisionConfig.
+    """
     if twist_mode not in _TWIST_MODES:
         raise AdesurfError(f"unknown twist mode {twist_mode!r}")
     if model.kind != KIND_HIRZEBRUCH:
@@ -107,54 +113,44 @@ def transform(
     if model.n != datum.n:
         raise AdesurfError(f"model has {model.n} exceptional classes, datum has {datum.n} sheets")
 
-    needed = required_collisions(datum)
-    if needed.pairs:
-        have = set((collisions or CollisionConfig()).pairs)
-        missing = [p for p in needed.pairs if p not in have]
-        if missing:
-            raise CollisionConfigError(
-                f"datum has collided sheets but the model configuration lacks pairs {missing}; "
-                "pass required_collisions(datum)"
-            )
+    # the forced pairs are (a, a + 1) for equal consecutive sorted points
+    have = set(collisions.pairs) if collisions is not None else set()
+    pts = datum.points
+    missing = [
+        (a, a + 1) for a in range(1, datum.n) if pts[a - 1] == pts[a] and (a, a + 1) not in have
+    ]
+    if missing:
+        raise CollisionConfigError(
+            f"datum has collided sheets but the model configuration lacks pairs {missing}; "
+            "pass required_collisions(datum)"
+        )
 
     shift = model.zero() if twist_mode == TWIST_RAW else -model.base_class
-    point_blocks = datum.point_blocks()
     summands: list[tuple[LatticeClass, int]] = []
     blocks_out = []
-    idx = 1
-    gid = 0
-    for p, mult in point_blocks:
-        classes = [model.exceptional(i) + shift for i in range(idx, idx + mult)]
-        idx += mult
-        if mult == 1:
-            summands.append((classes[0], 0))
-        else:
-            gid += 1
-            # sub-object first: deepest line class leads the filtration
-            ordered = list(reversed(classes))
-            summands.extend((c, gid) for c in ordered)
-            blocks_out.append((p, mult, tuple(ordered)))
-
-    bundle = FormalBundle(model=model, summands=tuple(summands))
-    degs = tuple(boundary_degree(model, c) for c, _ in bundle.summands)
-
+    degs: list[int] = []
     entries = []
-    cursor = 0
-    for p, mult in point_blocks:
-        block_degs = set(degs[cursor : cursor + mult])
-        cursor += mult
-        entries.append(
-            PointEntry(point=p, mult=mult, regular=mult >= 2, degree=block_degs.pop() if block_degs else 0)
-        )
-    boundary = EBundleClass(order=datum.order, entries=tuple(entries))
+    top = 0
+    for p, mult in datum.point_blocks():
+        # sub-object first: deepest line class leads the filtration
+        classes = tuple(model.exceptional(i) + shift for i in range(top + mult, top, -1))
+        top += mult
+        gid = 0
+        if mult >= 2:
+            blocks_out.append((p, mult, classes))
+            gid = len(blocks_out)
+        summands.extend((c, gid) for c in classes)
+        degs.extend(boundary_degree(model, c) for c in classes)
+        # a block's degree is the one its summands share
+        entries.append(PointEntry(point=p, mult=mult, regular=mult >= 2, degree=degs[-1]))
 
     base_twist = datum.base_twist_degree + (1 if twist_mode == TWIST_FULL else 0)
     return TransformResult(
-        bundle=bundle,
+        bundle=FormalBundle(model=model, summands=tuple(summands)),
         collision_blocks=tuple(blocks_out),
         c1_fiber=sum(degs),
-        boundary=boundary,
-        summand_boundary_degrees=degs,
+        boundary=EBundleClass(order=datum.order, entries=tuple(entries)),
+        summand_boundary_degrees=tuple(degs),
         base_twist_degree=base_twist,
     )
 

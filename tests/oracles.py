@@ -73,6 +73,15 @@ oracle's definiteness test uses it.
 ``sympy_factors`` factors a polynomial over Q with sympy's ``factor_list``;
 the package's own Zassenhaus factoring is tested against it.  sympy is
 needed only here, and is imported on the first call.
+
+``two_pass_transform`` and ``blockwise_restrict_to_boundary`` are the
+class-level transform and the boundary restriction as the package first
+wrote them.  The transform validates a rebuilt ``CollisionConfig`` and
+walks the point blocks twice, reading each block's degree off a slice of
+the summand degrees; the restriction looks up each l_i's point per class
+through a marking row that keeps the unmarked l_i.  The package's single
+walk and its dot product with the marking row are tested against them,
+value for value and exception for exception.
 """
 
 from __future__ import annotations
@@ -82,9 +91,19 @@ from fractions import Fraction
 from math import isqrt
 
 from adesurf import localmodel as lm
-from adesurf.errors import AdesurfError, BasisMismatchError, EnumerationBoundError, OrbitCapExceededError
-from adesurf.lattice import LatticeClass
+from adesurf.bundles import EBundleClass, FormalBundle, PointEntry, boundary_degree
+from adesurf.divisors import CollisionConfig
+from adesurf.errors import (
+    AdesurfError,
+    BasisMismatchError,
+    BoundaryRestrictionError,
+    CollisionConfigError,
+    EnumerationBoundError,
+    OrbitCapExceededError,
+)
+from adesurf.lattice import KIND_HIRZEBRUCH, LatticeClass
 from adesurf.linesroots import _positivity_functional
+from adesurf.transform import TransformResult
 
 
 def frac_matrix(rows):
@@ -770,3 +789,127 @@ def recursive_basis(ring, d):
 
     rec(0, d, [])
     return sorted(out)
+
+
+def _forced_collisions(datum):
+    pairs = []
+    idx = 1
+    for _p, mult in datum.point_blocks():
+        for a in range(idx, idx + mult - 1):
+            pairs.append((a, a + 1))
+        idx += mult
+    return CollisionConfig(tuple(pairs))
+
+
+def two_pass_transform(model, datum, twist_mode="full", collisions=None):
+    """``transform.transform`` with a rebuilt collision configuration and two block walks."""
+    if twist_mode not in ("raw", "minus_l0", "full"):
+        raise AdesurfError(f"unknown twist mode {twist_mode!r}")
+    if model.kind != KIND_HIRZEBRUCH:
+        raise AdesurfError("the transform acts on A-type (Hirzebruch) surface fibers")
+    if model.n != datum.n:
+        raise AdesurfError(f"model has {model.n} exceptional classes, datum has {datum.n} sheets")
+
+    needed = _forced_collisions(datum)
+    if needed.pairs:
+        have = set((collisions or CollisionConfig()).pairs)
+        missing = [p for p in needed.pairs if p not in have]
+        if missing:
+            raise CollisionConfigError(
+                f"datum has collided sheets but the model configuration lacks pairs {missing}; "
+                "pass required_collisions(datum)"
+            )
+
+    shift = model.zero() if twist_mode == "raw" else -model.base_class
+    point_blocks = datum.point_blocks()
+    summands = []
+    blocks_out = []
+    idx = 1
+    gid = 0
+    for p, mult in point_blocks:
+        classes = [model.exceptional(i) + shift for i in range(idx, idx + mult)]
+        idx += mult
+        if mult == 1:
+            summands.append((classes[0], 0))
+        else:
+            gid += 1
+            ordered = list(reversed(classes))
+            summands.extend((c, gid) for c in ordered)
+            blocks_out.append((p, mult, tuple(ordered)))
+
+    bundle = FormalBundle(model=model, summands=tuple(summands))
+    degs = tuple(boundary_degree(model, c) for c, _ in bundle.summands)
+
+    entries = []
+    cursor = 0
+    for p, mult in point_blocks:
+        block_degs = set(degs[cursor : cursor + mult])
+        cursor += mult
+        entries.append(
+            PointEntry(point=p, mult=mult, regular=mult >= 2, degree=block_degs.pop() if block_degs else 0)
+        )
+    boundary = EBundleClass(order=datum.order, entries=tuple(entries))
+
+    base_twist = datum.base_twist_degree + (1 if twist_mode == "full" else 0)
+    return TransformResult(
+        bundle=bundle,
+        collision_blocks=tuple(blocks_out),
+        c1_fiber=sum(degs),
+        boundary=boundary,
+        summand_boundary_degrees=degs,
+        base_twist_degree=base_twist,
+    )
+
+
+def _blocks(bundle):
+    out = []
+    index = {}
+    for cls, gid in bundle.summands:
+        if gid == 0:
+            out.append((0, [cls]))
+        elif gid in index:
+            out[index[gid]][1].append(cls)
+        else:
+            index[gid] = len(out)
+            out.append((gid, [cls]))
+    return out
+
+
+def _restrict_class(cls, row, order):
+    value = 0
+    x = cls.coeffs
+    for j, i, p in row:
+        if x[j]:
+            if p is None:
+                raise AdesurfError(f"marking has no point for l{i}")
+            value += x[j] * p
+    return value % order
+
+
+def blockwise_restrict_to_boundary(bundle, marking):
+    """``bundles.restrict_to_boundary`` with a per-class lookup of each l_i's point."""
+    model = bundle.model
+    for cls, _ in bundle.summands:
+        deg = boundary_degree(model, cls)
+        if deg != 0:
+            raise BoundaryRestrictionError(
+                f"summand {cls.coeffs} has boundary degree {deg}; twist before restricting"
+            )
+    points = dict(marking.points)
+    row = tuple((j, i, points.get(i)) for j, i in model.exceptional_positions)
+    entries = []
+    plain = {}
+    for gid, classes in _blocks(bundle):
+        points = {_restrict_class(c, row, marking.order) for c in classes}
+        if len(points) != 1:
+            raise BoundaryRestrictionError(
+                "filtration block restricts to several distinct points; "
+                "regular representatives require a single collision point"
+            )
+        p = points.pop()
+        if gid == 0:
+            plain[p] = plain.get(p, 0) + 1
+        else:
+            entries.append(PointEntry(point=p, mult=len(classes), regular=True))
+    entries.extend(PointEntry(point=p, mult=m, regular=False) for p, m in plain.items())
+    return EBundleClass(order=marking.order, entries=tuple(entries))

@@ -8,6 +8,7 @@ from adesurf.bundles import (
     VECTOR_D,
     EBundleClass,
     EMarking,
+    FormalBundle,
     PointEntry,
     boundary_degree,
     build_tautological,
@@ -171,6 +172,25 @@ def test_restrict_block_needs_single_point():
     )
     marking = EMarking(order=720, points=((1, 3), (2, 44)))
     with pytest.raises(BoundaryRestrictionError):
+        restrict_to_boundary(bundle, marking)
+
+
+def test_restrict_needs_a_point_for_every_line_used():
+    m = hirzebruch_blowup(3)
+    w = twist(build_tautological(m, FUNDAMENTAL_A), -m.base_class)
+    marking = EMarking(order=720, points=((1, 10), (3, 30)))
+    with pytest.raises(AdesurfError, match="^marking has no point for l2$"):
+        restrict_to_boundary(w, marking)
+
+
+def test_restrict_checks_degree_before_marking():
+    # l_2 is unmarked and of boundary degree one: the degree check wins
+    m = hirzebruch_blowup(2)
+    b = m.base_class
+    bundle = twist(build_tautological(m, FUNDAMENTAL_A), -b)
+    bundle = FormalBundle(model=m, summands=bundle.summands + ((m.exceptional(2), 0),))
+    marking = EMarking(order=720, points=((1, 10),))
+    with pytest.raises(BoundaryRestrictionError, match="has boundary degree 1"):
         restrict_to_boundary(bundle, marking)
 
 

@@ -353,6 +353,66 @@ def test_transform_run_collided_stdout_is_pinned(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "twist, digest",
+    [
+        ("raw", "d5e2356b866d0e12531b64734e5da67b65a2bcf8f262b0c25c0b700caa63f23a"),
+        ("minus_l0", "13e13dd8dffe0cda71a69625df3d42e437063a534015dfe53d140b4c07b82dda"),
+    ],
+)
+def test_transform_run_collided_twists_stdout_is_pinned(tmp_path, capsys, twist, digest):
+    surface = tmp_path / "s.json"
+    surface.write_text('{"kind": "hirzebruch_blowup", "n": 5}')
+    datum = tmp_path / "d.json"
+    datum.write_text('{"N": 720, "points": [7, 300, 7, 7, 300]}')
+    argv = ["transform", "run", "--surface", str(surface), "--spectral", str(datum), "--twist", twist]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_transform_run_missing_collision_stdout_is_pinned(tmp_path, capsys):
+    # the surface collides l_2, l_3 but the datum also collides l_1, l_2
+    surface = tmp_path / "s.json"
+    surface.write_text('{"kind":"hirzebruch","n":3,"collisions":[[2,3]]}')
+    datum = tmp_path / "d.json"
+    datum.write_text('{"N":720,"points":[5,5,9]}')
+    code, out = run_cli(capsys, ["transform", "run", "--surface", str(surface), "--spectral", str(datum)])
+    assert code == 1
+    assert "lacks pairs [(1, 2)]" in json.loads(out)["error"]["message"]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c9529d06025cb344858f42fcbcbf1d5baaec283d9c73e19d4ff63caac733f666"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        (
+            ["--n", "3", "--rep", "vector_d", "--points", "3,5,7", "--N", "720"],
+            0,
+            "df1959d1432e9fd50282fa745e1f72c71638c82c5ba554199e105ef2c2f4540e",
+        ),
+        (
+            ["--n", "2", "--rep", "adjoint", "--points", "5,7", "--N", "12", "--raw"],
+            0,
+            "709bb6115129fc58ea438de475ba4b696ae4183238d59a9de2eedf2eff4be02c",
+        ),
+        (
+            # untwisted fundamental summands have boundary degree one
+            ["--n", "2", "--rep", "fundamental_a", "--points", "5,7", "--raw"],
+            1,
+            "89ece7cb4ceddd9c5541c85d001d69c75773e9dcd04b5fa4b363587a9fcd7152",
+        ),
+    ],
+    ids=["vector_d", "adjoint-raw", "fundamental-raw-refused"],
+)
+def test_restrict_stdout_is_pinned(capsys, argv, code, digest):
+    got_code, out = run_cli(capsys, ["restrict", "--kind", "hirzebruch", *argv])
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_suite_stdout_is_pinned(capsys):
     code, out = run_cli(capsys, ["suite"])
     assert code == 0

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from adesurf.bundles import restrict_to_boundary
+from adesurf.divisors import CollisionConfig
 from adesurf.errors import AdesurfError, CollisionConfigError
 from adesurf.lattice import hirzebruch_blowup, p2_blowup
 from adesurf.transform import (
@@ -57,6 +58,18 @@ def test_transform_requires_collision_config():
     datum = SpectralFiberDatum(order=720, points=(5, 5))
     with pytest.raises(CollisionConfigError):
         transform(m, datum, "minus_l0")
+
+
+def test_transform_builds_no_collision_config(monkeypatch):
+    m = hirzebruch_blowup(5)
+    datum = SpectralFiberDatum(order=720, points=(7, 300, 7, 7, 300))
+    collisions = required_collisions(datum)
+    calls = []
+    post_init = CollisionConfig.__post_init__
+    monkeypatch.setattr(CollisionConfig, "__post_init__", lambda self: calls.append(self) or post_init(self))
+    res = transform(m, datum, "full", collisions=collisions)
+    assert calls == []
+    assert [(p, mult) for p, mult, _ in res.collision_blocks] == [(7, 3), (300, 2)]
 
 
 def test_transform_model_checks():
