@@ -166,15 +166,22 @@ def restrict_to_boundary(bundle: FormalBundle, marking: EMarking) -> EBundleClas
             )
     # l_i -> p_i and b, f, h -> 0: one dot product with the marking row
     marked = dict(marking.points)
-    row = tuple((j, marked[i]) for j, i in model.exceptional_positions if i in marked)
-    unmarked = tuple((j, i) for j, i in model.exceptional_positions if i not in marked)
+    row: list[tuple[int, int]] = []
+    unmarked: list[tuple[int, int]] = []
+    for j, i in model.exceptional_positions:
+        if i in marked:
+            row.append((j, marked[i]))
+        else:
+            unmarked.append((j, i))
     entries: list[PointEntry] = []
     plain: dict[int, int] = {}
     for gid, classes in bundle.blocks():
-        lost = [i for cls in classes for j, i in unmarked if cls.coeffs[j]]
-        if lost:
-            raise AdesurfError(f"marking has no point for l{lost[0]}")
-        points = {dot(cls.coeffs, row) % marking.order for cls in classes}
+        points = set()
+        for cls in classes:
+            for j, i in unmarked:
+                if cls.coeffs[j]:
+                    raise AdesurfError(f"marking has no point for l{i}")
+            points.add(dot(cls.coeffs, row) % marking.order)
         if len(points) != 1:
             raise BoundaryRestrictionError(
                 "filtration block restricts to several distinct points; "

@@ -133,14 +133,15 @@ def transform(
     top = 0
     for p, mult in datum.point_blocks():
         # sub-object first: deepest line class leads the filtration
-        classes = tuple(model.exceptional(i) + shift for i in range(top + mult, top, -1))
+        classes = [model.exceptional(i) + shift for i in range(top + mult, top, -1)]
         top += mult
         gid = 0
         if mult >= 2:
-            blocks_out.append((p, mult, classes))
+            blocks_out.append((p, mult, tuple(classes)))
             gid = len(blocks_out)
-        summands.extend((c, gid) for c in classes)
-        degs.extend(boundary_degree(model, c) for c in classes)
+        for c in classes:
+            summands.append((c, gid))
+            degs.append(boundary_degree(model, c))
         # a block's degree is the one its summands share
         entries.append(PointEntry(point=p, mult=mult, regular=mult >= 2, degree=degs[-1]))
 
