@@ -31,8 +31,8 @@ whenever they pass a solution.  Each representative is then expanded into
 its distinct permutations within the runs, and the result is sorted once.
 On the dP8 conics, 15 representatives stand for 2160 classes.
 
-``check_int64_safety`` keeps its historical name; it is the work limit on
-rank, box size and constraint ranges, refused before any sweep starts.
+``check_work_limits`` bounds rank, box size and constraint ranges, and
+refuses a system past them before any sweep starts.
 ``_MAX_LAYER_ROWS`` caps both the candidates of one layer and the number
 of solutions the representatives expand into, counted before any
 permutation is built.
@@ -50,7 +50,7 @@ _MAX_BOUND = 1 << 20
 _MAX_LAYER_ROWS = 30_000_000
 
 
-def check_int64_safety(s: int, bounds, a_matrix, targets) -> None:
+def check_work_limits(s: int, bounds, a_matrix, targets) -> None:
     r = len(bounds)
     if r == 0 or r > _MAX_RANK:
         raise EnumerationBoundError(f"enumeration bound exceeded: rank {r}")
@@ -100,7 +100,7 @@ def enumerate_diag(
 
     Returns lexicographically sorted tuples of ints.
     """
-    check_int64_safety(s, bounds, a_matrix, targets)
+    check_work_limits(s, bounds, a_matrix, targets)
     r = len(bounds)
     # square budget of the unassigned coordinates i.. (coordinate 0 is the + sign)
     sq_cap = [0] * (r + 1)

@@ -12,9 +12,10 @@ the additive rule
 
 so l_i - l_0 lands on p_i and f - l_i - l_0 on -p_i, matching the twisted
 fundamental and vector configurations.  The rule is linear: a class
-restricts to its pairing with the sparse marking row of (position of l_i,
-p_i), taken mod N, just as its boundary degree is its pairing with the
-row of E.  Only degree-zero summands restrict; callers must twist first.
+restricts to its dot product with the marking row (p_i at the position of
+l_i, 0 elsewhere), taken mod N, just as its boundary degree is its dot
+product with Gram * E.  Only degree-zero summands restrict; callers must
+twist first.
 
 Known limitation of the finite model: a small N relative to the number of
 blowup points invites torsion artifacts (distinct points colliding mod N
@@ -166,11 +167,11 @@ def restrict_to_boundary(bundle: FormalBundle, marking: EMarking) -> EBundleClas
             )
     # l_i -> p_i and b, f, h -> 0: one dot product with the marking row
     marked = dict(marking.points)
-    row: list[tuple[int, int]] = []
+    row = [0] * model.rank
     unmarked: list[tuple[int, int]] = []
     for j, i in model.exceptional_positions:
         if i in marked:
-            row.append((j, marked[i]))
+            row[j] = marked[i]
         else:
             unmarked.append((j, i))
     entries: list[PointEntry] = []

@@ -309,6 +309,8 @@ def _parse_constraint(text: str | None) -> int | None:
 def cmd_lines(args) -> dict:
     from .linesroots import enumerate_lines
 
+    if args.margin < 0:
+        raise SchemaError("--margin", f"expected a margin >= 0, got {args.margin}")
     model = _model_from_args(args)
     fiber_value = _parse_constraint(args.constraint)
     lines = enumerate_lines(model, fiber_value, bound_margin=args.margin)

@@ -90,15 +90,6 @@ def euler_char(model: SurfaceModel, d: LatticeClass) -> int:
     return 1 + (dd - dk) // 2
 
 
-def _dual(model: SurfaceModel, c: LatticeClass) -> tuple[int, ...]:
-    x = c.coeffs
-    return tuple(dot(x, row) for row in model.gram_rows)
-
-
-def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    return sum(x * y for x, y in zip(a, b))
-
-
 def _minus(a: tuple[int, ...], b: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple(x - k * y for x, y in zip(a, b))
 
@@ -106,8 +97,8 @@ def _minus(a: tuple[int, ...], b: tuple[int, ...], k: int) -> tuple[int, ...]:
 @cache
 def _curves(model: SurfaceModel, collisions: CollisionConfig) -> tuple:
     """(negative, nef, generators) as coefficient tuples, once per configuration:
-    (E, Gram*E, -E*E) per negative curve, the nef test classes' Gram rows, and
-    the certificate generators."""
+    (E, Gram*E, -E*E) per negative curve, Gram*c for each nef test class c,
+    and the certificate generators."""
     degree = model.pair(model.K, model.K)
     if degree < 1:
         raise EnumerationBoundError(
@@ -125,8 +116,8 @@ def _curves(model: SurfaceModel, collisions: CollisionConfig) -> tuple:
     elif degree == 1:
         extra = [model.E]
     return (
-        tuple((e.coeffs, _dual(model, e), -model.pair(e, e)) for e in negative),
-        tuple(_dual(model, c) for c in [model.E] + (extra if degree == 8 else [])),
+        tuple((e.coeffs, model.pairing_row(e), -model.pair(e, e)) for e in negative),
+        tuple(model.pairing_row(c) for c in [model.E] + (extra if degree == 8 else [])),
         tuple(c.coeffs for c in negative + extra),
     )
 
@@ -143,11 +134,11 @@ class _Peeler:
         often as D*E < 0 demands, counting it into terms when given; E meets
         the other curves non-negatively, so no pairing turns positive."""
         while any(d):
-            if any(_dot(d, w) < 0 for w in self.nef):
+            if any(dot(d, w) < 0 for w in self.nef):
                 return False, d
             start = d
             for e, w, s in self.negative:
-                de = _dot(d, w)
+                de = dot(d, w)
                 if de < 0:
                     mult = -(de // s)
                     d = _minus(d, e, mult)

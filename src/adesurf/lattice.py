@@ -26,14 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 
 from ._linalg import signature_symmetric
 from .errors import AdesurfError, BasisMismatchError, UnrelatedModelsError
 
 MAX_BLOWUPS = 64
-
-SparseRow = tuple[tuple[int, int], ...]
 
 KIND_HIRZEBRUCH = "hirzebruch_blowup"
 KIND_P2 = "p2_blowup"
@@ -79,14 +77,9 @@ class LatticeClass:
         return all(c == 0 for c in self.coeffs)
 
 
-def sparse(values) -> SparseRow:
-    """The nonzero entries of a vector as (index, value) pairs."""
-    return tuple((j, v) for j, v in enumerate(values) if v)
-
-
-def dot(coeffs: tuple[int, ...], row: SparseRow) -> int:
-    """The dot product of a coefficient tuple with a sparse row."""
-    return sum(coeffs[j] * v for j, v in row)
+def dot(a, b) -> int:
+    """The dot product of two int vectors of one length."""
+    return sum(map(mul, a, b))
 
 
 @dataclass(frozen=True)
@@ -118,15 +111,8 @@ class SurfaceModel:
     def zero(self) -> LatticeClass:
         return self.cls((0,) * self.rank)
 
-    # Built on first use and kept on the instance.  A Gram row has one or
-    # two nonzero entries, so pairing through the sparse rows skips the zeros.
     @cached_property
-    def gram_rows(self) -> tuple[SparseRow, ...]:
-        """The Gram matrix as sparse rows."""
-        return tuple(sparse(row) for row in self.gram)
-
-    @cached_property
-    def e_row(self) -> SparseRow:
+    def e_row(self) -> tuple[int, ...]:
         """Gram * E: the boundary degree x*E is one dot product with it."""
         return self.pairing_row(self.E)
 
@@ -161,16 +147,16 @@ class SurfaceModel:
                 f"{a.basis_id!r} and {b.basis_id!r}"
             )
 
-    def pairing_row(self, c: LatticeClass) -> SparseRow:
-        """Gram * c in sparse form: x*c is dot(x.coeffs, pairing_row(c))."""
+    def pairing_row(self, c: LatticeClass) -> tuple[int, ...]:
+        """Gram * c, the dual vector of c: x*c is dot(x.coeffs, pairing_row(c))."""
         self.check_basis(c, c)
         x = c.coeffs
-        return sparse(dot(x, row) for row in self.gram_rows)
+        return tuple([dot(row, x) for row in self.gram])
 
     def pair(self, a: LatticeClass, b: LatticeClass) -> int:
         self.check_basis(a, b)
         y = b.coeffs
-        return sum(ai * dot(y, row) for ai, row in zip(a.coeffs, self.gram_rows) if ai)
+        return dot(a.coeffs, [dot(row, y) for row in self.gram])
 
     def verify(self) -> None:
         """Check the structural invariants of the model; raises on failure."""
@@ -323,12 +309,3 @@ def change_basis(model_from: SurfaceModel, model_to: SurfaceModel, cls: LatticeC
         # (a_h, a_0, m_1..m_n) -> (a_h + a_0) * b + a_h * f + m_i * l_i
         out = (c[0] + c[1], c[0]) + c[2:]
     return LatticeClass(out, model_to.basis_id)
-
-
-def pair(a: LatticeClass, b: LatticeClass) -> int:
-    """Intersection pairing; both classes must share a registered basis."""
-    if a.basis_id != b.basis_id:
-        raise BasisMismatchError(
-            f"cannot pair classes from {a.basis_id!r} and {b.basis_id!r}"
-        )
-    return get_model(a.basis_id).pair(a, b)

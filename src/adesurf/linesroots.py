@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, gcd, isqrt, lcm
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 from . import _enumkernel
 from ._linalg import Echelon, signature_symmetric
@@ -41,10 +41,10 @@ from .errors import (
 from .lattice import (
     KIND_HIRZEBRUCH,
     LatticeClass,
-    SparseRow,
     SurfaceModel,
     change_basis,
     dot,
+    get_model,
     p2_presentation,
 )
 
@@ -106,17 +106,18 @@ def coefficient_bounds(
     # pivot in the target column; the constraints kept are the ones that
     # are independent of those before them
     consistency, independent = Echelon(), Echelon()
-    u_vecs, targets = [], []
+    u_vecs, u_rows, targets = [], [], []
     for u, t in constraints:
         consistency.add(u.coeffs + (t,))
         if independent.add(u.coeffs):
             u_vecs.append(u.coeffs)
+            u_rows.append(model.pairing_row(u))
             targets.append(t)
     if r in consistency.rows:
         return None  # inconsistent targets: no solutions at all
 
     k = len(u_vecs)
-    gram_u = [[sum(d * a * b for d, a, b in zip(diag, ua, ub)) for ub in u_vecs] for ua in u_vecs]
+    gram_u = [[dot(row, ub) for ub in u_vecs] for row in u_rows]
     if k:
         # U-perp is negative definite exactly when gram_U is nondegenerate and
         # carries all of the ambient form's positive directions.  With no
@@ -134,27 +135,27 @@ def coefficient_bounds(
     den = lcm(*(row[c] for c, row in rows))
     inv = [[row.get(k + b, 0) * (den // row[c]) for b in range(k)] for c, row in rows]
 
-    # numerators over den: the U-part of a solution, x_u, and its norm gap q_y
-    coeffs = [sum(g * t for g, t in zip(row, targets)) for row in inv]
-    x_u = [sum(c * u[i] for c, u in zip(coeffs, u_vecs)) for i in range(r)]
-    q_y = sum(c * t for c, t in zip(coeffs, targets)) - self_intersection * den
+    # numerators over den: the norm gap q_y, and below, per coordinate, the
+    # U-part x_u of a solution
+    coeffs = [dot(row, targets) for row in inv]
+    q_y = dot(coeffs, targets) - self_intersection * den
     if q_y < 0:
         return None  # sphere radius would be imaginary: empty
 
     bounds: list[int] = []
     for i in range(r):
+        ui = [u[i] for u in u_vecs]
+        x_u = dot(coeffs, ui)
         # -q_z is the squared norm of the U-perp part of the dual vector e_i / d_i:
         # 1/d_i - ui . gram_U^-1 . ui = (den - d_i * ui.inv.ui) / (d_i * den)
-        ui = [u[i] for u in u_vecs]
-        ui_inv_ui = sum(ua * sum(g * ub for g, ub in zip(row, ui)) for ua, row in zip(ui, inv))
-        q_z = diag[i] * ui_inv_ui - den
+        q_z = diag[i] * dot(ui, [dot(row, ui) for row in inv]) - den
         if diag[i] < 0:
             q_z = -q_z  # keep the denominator |d_i| * den positive
         if q_z < 0:
             raise EnumerationBoundError("enumeration bound exceeded: projection not definite")
         # |x_i| <= |x_u| + sqrt(q_z * q_y) = |x_u| + p / q, rounded down
         p, q = _sqrt_upper(q_z * q_y, abs(diag[i]) * den * den)
-        bounds.append((abs(x_u[i]) * q + p * den) // (den * q))
+        bounds.append((abs(x_u) * q + p * den) // (den * q))
     return bounds
 
 
@@ -165,7 +166,13 @@ def enumerate_classes(
     *,
     bound_margin: int = 0,
 ) -> list[LatticeClass]:
-    """Complete list of classes with x*x = self_intersection and fixed pairings."""
+    """Complete list of classes with x*x = self_intersection and fixed pairings.
+
+    bound_margin widens the proven box by that much per coordinate; it
+    must be >= 0, since a narrower box could miss solutions.
+    """
+    if bound_margin < 0:
+        raise AdesurfError(f"bound margin must be >= 0, got {bound_margin}")
     diag_model, fwd = _diag_setup(model)
     diag_constraints = [(fwd(u), t) for u, t in constraints]
     bounds = coefficient_bounds(diag_model, self_intersection, diag_constraints)
@@ -173,12 +180,8 @@ def enumerate_classes(
         return []
     if bound_margin:
         bounds = [b + bound_margin for b in bounds]
-    gram = diag_model.gram
-    rows = []
-    tgts = []
-    for u, t in diag_constraints:
-        rows.append([gram[i][i] * u.coeffs[i] for i in range(diag_model.rank)])
-        tgts.append(t)
+    rows = [diag_model.pairing_row(u) for u, _ in diag_constraints]
+    tgts = [t for _, t in diag_constraints]
     sols = _enumkernel.enumerate_diag(self_intersection, bounds, rows, tgts)
     if diag_model is not model:
         # the companion map of change_basis: (a_h, a_0, m..) -> (a_h + a_0) b + a_h f + m.l
@@ -213,8 +216,8 @@ class RootDatum:
     simple_roots: tuple[LatticeClass, ...]
     cartan: tuple[tuple[int, ...], ...]
     type_label: str
-    # Gram * alpha_i for each simple root, sparse: x*alpha_i is dot(x, row i)
-    pairing_rows: tuple[SparseRow, ...]
+    # Gram * alpha_i for each simple root: x*alpha_i is dot(x, row i)
+    pairing_rows: tuple[tuple[int, ...], ...]
 
     @property
     def rank(self) -> int:
@@ -231,7 +234,7 @@ def _positivity_functional(model: SurfaceModel, roots: list[LatticeClass]) -> li
     m = 2
     while True:
         phi = [m ** (r - 1 - j) for j in range(r)]
-        if all(sum(p * c for p, c in zip(phi, rt.coeffs)) != 0 for rt in roots):
+        if all(dot(phi, rt.coeffs) for rt in roots):
             return phi
         m += 1
 
@@ -248,18 +251,18 @@ def _simple_roots(model: SurfaceModel, roots: list[LatticeClass]) -> list[Lattic
     if not roots:
         return []
     phi = _positivity_functional(model, roots)
-
-    def height(c: LatticeClass) -> int:
-        return sum(p * v for p, v in zip(phi, c.coeffs))
-
-    positive = sorted((rt for rt in roots if height(rt) > 0), key=height)
-    pos_set = {rt.coeffs for rt in positive}
-    simple: list[LatticeClass] = []
-    for rt in positive:
-        if not any((rt - s).coeffs in pos_set for s in simple):
-            simple.append(rt)
+    height = itemgetter(0)
+    positive = sorted(
+        ((h, rt) for rt in roots if (h := dot(phi, rt.coeffs)) > 0), key=height
+    )
+    pos_set = {rt.coeffs for _, rt in positive}
+    simple: list[tuple[int, LatticeClass]] = []
+    for h, rt in positive:
+        x = rt.coeffs
+        if not any(tuple(map(sub, x, s.coeffs)) in pos_set for _, s in simple):
+            simple.append((h, rt))
     simple.sort(key=height, reverse=True)
-    return simple
+    return [rt for _, rt in simple]
 
 
 def _component_label(nodes: list[int], adj: dict[int, set[int]]) -> str:
@@ -357,9 +360,6 @@ def enumerate_roots(
     """All x with x*x = -2 orthogonal to the named classes, as a root datum."""
     constraints: list[tuple[LatticeClass, int]] = []
     for name in orthogonality_set:
-        if isinstance(name, LatticeClass):
-            constraints.append((name, 0))
-            continue
         if name not in _ORTHOGONALITY_NAMES:
             raise AdesurfError(f"orthogonality set may only contain K, f, b; got {name!r}")
         if name == "K":
@@ -392,11 +392,10 @@ def enumerate_roots(
 
 def reflect(root: LatticeClass, cls: LatticeClass) -> LatticeClass:
     """Reflection of cls in a (-2)-class: cls + (cls*root) root."""
-    from .lattice import pair as _pair
-
-    if _pair(root, root) != -2:
+    model = get_model(root.basis_id)
+    if model.pair(root, root) != -2:
         raise AdesurfError("reflection requires a root with self-intersection -2")
-    return cls + _pair(cls, root) * root
+    return cls + model.pair(cls, root) * root
 
 
 def _weights(datum: RootDatum, cls: LatticeClass) -> tuple[int, ...]:

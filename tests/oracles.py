@@ -52,7 +52,7 @@ package's run over Z, with primitive PRS gcds, is tested against them.
 
 ``dense_pair`` pairs two classes through the whole dense Gram matrix of
 their model, and ``dense_dual`` is the dense product Gram * c; the
-package's sparse pairing rows are tested against them.
+package's pairing rows and pairings are tested against them.
 
 ``full_check_generate`` and ``full_min_generator_profile`` are the
 graded checks as the package first ran them: every degree up to maxdeg

@@ -235,6 +235,16 @@ def test_suite_rejects_bad_counts(capsys, flag, value):
     assert (err["type"], err["path"]) == ("schema", flag)
 
 
+def test_lines_rejects_a_negative_margin(capsys):
+    code, out = run_cli(capsys, ["lines", "--kind", "p2", "--n", "6", "--margin", "-1"])
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert (err["type"], err["path"]) == ("schema", "--margin")
+    for margin in ("0", "1", "2"):
+        code, out = run_cli(capsys, ["lines", "--kind", "p2", "--n", "6", "--margin", margin])
+        assert (code, json.loads(out)["count"]) == (0, 27)
+
+
 def test_bundle_and_restrict(capsys):
     code, out = run_cli(
         capsys,

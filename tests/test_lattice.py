@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adesurf.bundles import boundary_degree
-from adesurf.divisors import _dual
 from adesurf.errors import AdesurfError, BasisMismatchError, UnrelatedModelsError
 from adesurf.lattice import (
     KIND_HIRZEBRUCH,
@@ -15,9 +14,8 @@ from adesurf.lattice import (
     hirzebruch_blowup,
     p2_blowup,
     p2_presentation,
-    pair,
 )
-from adesurf.linesroots import enumerate_roots, weight_of
+from adesurf.linesroots import enumerate_roots, reflect, weight_of
 from adesurf._linalg import signature_symmetric
 from fractions import Fraction
 
@@ -101,25 +99,32 @@ def test_pair_bilinear_symmetric_random():
 
 
 def test_basis_mismatch_rejected():
-    a = hirzebruch_blowup(2).exceptional(1)
+    m = hirzebruch_blowup(2)
+    a = m.exceptional(1)
     b = p2_blowup(2).exceptional(1)
     with pytest.raises(BasisMismatchError):
-        pair(a, b)
+        m.pair(a, b)
     with pytest.raises(BasisMismatchError):
         a + b
+    root = m.exceptional(2) - a
+    with pytest.raises(BasisMismatchError):
+        reflect(root, b)
+    assert reflect(root, a) == m.exceptional(2)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_sparse_pairing_matches_dense_gram(data):
+def test_pairing_matches_dense_gram(data):
     model = data.draw(st.sampled_from(_MODELS), label="model")
     entry = st.integers(-12, 12) | st.integers(-(10**30), 10**30)
     vec = st.lists(entry, min_size=model.rank, max_size=model.rank)
     a, b = model.cls(data.draw(vec, label="a")), model.cls(data.draw(vec, label="b"))
-    assert model.pair(a, b) == pair(a, b) == dense_pair(model, a, b)
+    assert model.pair(a, b) == dense_pair(model, a, b)
+    assert model.pairing_row(a) == dense_dual(model, a)
+    assert model.e_row == dense_dual(model, model.E)
     assert boundary_degree(model, a) == dense_pair(model, a, model.E)
-    assert _dual(model, a) == dense_dual(model, a)
     datum = _root_datum(model)
+    assert datum.pairing_rows == tuple(dense_dual(model, r) for r in datum.simple_roots)
     assert weight_of(datum, a).entries == tuple(dense_pair(model, a, r) for r in datum.simple_roots)
 
 

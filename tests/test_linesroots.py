@@ -132,15 +132,14 @@ def test_d_type_roots(n):
     assert datum.type_label == expected
 
 
-def test_orthogonality_accepts_classes():
+def test_orthogonality_accepts_only_names():
     m = hirzebruch_blowup(3)
-    by_name = enumerate_roots(m, ("K", "f", "b"))
-    by_class = enumerate_roots(m, (m.K, m.fiber_class, m.base_class))
-    assert [r.coeffs for r in by_class.roots] == [r.coeffs for r in by_name.roots]
     with pytest.raises(AdesurfError):
         enumerate_roots(m, ("K", "E"))
     with pytest.raises(AdesurfError):
         enumerate_roots(p2_blowup(3), ("K", "f"))
+    with pytest.raises(AdesurfError):
+        enumerate_roots(m, ("K", m.fiber_class))
 
 
 def test_no_roots_small():
@@ -416,15 +415,15 @@ def test_unbounded_enumeration_refused():
 
 
 def test_kernel_refuses_oversized_boxes():
-    from adesurf._enumkernel import check_int64_safety
+    from adesurf._enumkernel import check_work_limits
 
     with pytest.raises(EnumerationBoundError):
-        check_int64_safety(-1, [1 << 21], [], [])
+        check_work_limits(-1, [1 << 21], [], [])
     with pytest.raises(EnumerationBoundError):
-        check_int64_safety(-1, [3] * 70, [], [])
+        check_work_limits(-1, [3] * 70, [], [])
     with pytest.raises(EnumerationBoundError):
-        check_int64_safety(1 << 55, [3], [], [])
-    check_int64_safety(-1, [7, 3, 3], [[1, 1, 1]], [0])  # sane input passes
+        check_work_limits(1 << 55, [3], [], [])
+    check_work_limits(-1, [7, 3, 3], [[1, 1, 1]], [0])  # sane input passes
 
 
 def test_inconsistent_constraints_yield_empty():
@@ -565,3 +564,22 @@ def test_indefinite_residual_lattice_is_refused():
         dense_coefficient_bounds(m, 0, cons)
     with pytest.raises(EnumerationBoundError, match="not negative definite"):
         enumerate_classes(m, 0, cons)
+
+
+def test_negative_margin_is_refused():
+    m = p2_blowup(6)
+    with pytest.raises(AdesurfError, match="margin"):
+        enumerate_lines(m, bound_margin=-1)
+    with pytest.raises(AdesurfError, match="margin"):
+        enumerate_roots(m, ("K",), bound_margin=-1)
+    with pytest.raises(AdesurfError, match="margin"):
+        enumerate_classes(m, 0, [(m.K, -2)], bound_margin=-1)
+
+
+@pytest.mark.parametrize("margin", [0, 1, 2])
+def test_margins_keep_their_answers(margin):
+    m = p2_blowup(6)
+    assert len(enumerate_lines(m, bound_margin=margin)) == 27
+    datum = enumerate_roots(m, ("K",), bound_margin=margin)
+    assert (len(datum.roots), datum.type_label) == (72, "E6")
+    assert len(enumerate_classes(m, 0, [(m.K, -2)], bound_margin=margin)) == 27
