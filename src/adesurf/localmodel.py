@@ -9,7 +9,8 @@ finite-dimensional Q-vector space with the normal-form monomials as basis.
 Coefficients are Python ints wherever the input is integral, as in all
 four built-in rings; a Fraction appears only where a relation has a
 rational coefficient.  Each monomial's normal form is computed once per
-ring, so reducing a product costs one cache lookup per term.  Sums go
+ring, so reducing a product costs one cache lookup per term; each degree's
+basis once per ring shape, shared by every ring of that shape.  Sums go
 through ``_accumulate``, so a term dict never stores a zero, and products
 through ``_product``.  The resolution charts are one relation-free ring, a
 chart map is ``map_to`` into it, and it sends x, y, z to twice their images
@@ -37,7 +38,8 @@ the pushforward computation at the branch locus:
   (d) on the central fiber, killing s maps the kernel module onto the
       ideal (x - y, z) with exact dimension bookkeeping in every degree;
   (e) the kernel of that map becomes principal on the resolution charts
-      (every syzygy is proportional to (lambda_2, lambda_1)), and the
+      (the two generators of the syzygies, and so every syzygy, are
+      proportional to (lambda_2, lambda_1)), and the
       restriction degrees to the exceptional curve come out (-1, +1) for
       the naive direct sum versus (0, 0) for the verified module.
 """
@@ -96,6 +98,34 @@ def _product(a: Terms, b: Terms) -> Terms:
     return out
 
 
+# ((variable degrees, exponent caps), d) -> the sorted normal-form monomials
+# of degree d.  Threads may race on a key; both compute the same list, and
+# the last write wins.
+_SHAPE_BASES: dict[tuple, list[Monomial]] = {}
+
+
+def _enumerate_basis(degrees: tuple[int, ...], caps: tuple[int | None, ...], d: int):
+    """Exponent tuples of weighted degree d, each exponent at most its cap (None: none), sorted."""
+    out: list[Monomial] = []
+    n = len(degrees)
+    exps = [0] * n  # the exponents chosen so far, overwritten in place
+
+    def rec(i: int, remaining: int) -> None:
+        if i == n:
+            if remaining == 0:
+                out.append(tuple(exps))
+            return
+        dv, cap = degrees[i], caps[i]
+        top = remaining // dv if cap is None else min(remaining // dv, cap)
+        for e in range(top + 1):
+            exps[i] = e
+            rec(i + 1, remaining - e * dv)
+
+    rec(0, d)
+    out.sort()
+    return out
+
+
 @dataclass(frozen=True)
 class Relation:
     var: int
@@ -125,6 +155,10 @@ class TruncRing:
                 )
             self.relations[rel.var] = rel
         self._check_acyclic()
+        caps = tuple(
+            self.relations[v].power - 1 if v in self.relations else None for v in range(self.nvars)
+        )
+        self._shape = (self.var_degrees, caps)
         self._mono_sum = _monomial_sum(self.nvars)
         self._basis_cache: dict[int, list[Monomial]] = {}
         self._subring_cache: dict[tuple[tuple[int, ...], int], list[Monomial]] = {}
@@ -279,29 +313,23 @@ class TruncRing:
         return out
 
     def basis(self, d: int) -> list[Monomial]:
-        """Normal-form monomials of degree d, sorted; the caller must not change the list."""
+        """Normal-form monomials of degree d, sorted; the caller must not change the list.
+
+        The list depends only on the ring's shape: its variable degrees and
+        the exponent cap of each rewritten variable, not on the relations'
+        right sides or on ``max_degree``.  So it is enumerated once per
+        (shape, d) in the process, kept in ``_SHAPE_BASES`` and shared by
+        every ring of that shape; each ring also keeps its own lists by d.
+        """
         if d < 0:
             return []
         out = self._basis_cache.get(d)
         if out is not None:
             return out
-        out = []
-        n, degrees = self.nvars, self.var_degrees
-        caps = [self.relations[v].power - 1 if v in self.relations else d for v in range(n)]
-        exps = [0] * n  # the exponents chosen so far, overwritten in place
-
-        def rec(i: int, remaining: int) -> None:
-            if i == n:
-                if remaining == 0:
-                    out.append(tuple(exps))
-                return
-            dv = degrees[i]
-            for e in range(min(remaining // dv, caps[i]) + 1):
-                exps[i] = e
-                rec(i + 1, remaining - e * dv)
-
-        rec(0, d)
-        out.sort()
+        key = (self._shape, d)
+        out = _SHAPE_BASES.get(key)
+        if out is None:
+            out = _SHAPE_BASES[key] = _enumerate_basis(*self._shape, d)
         self._basis_cache[d] = out
         return out
 
@@ -811,8 +839,37 @@ class ExtensionChainReport:
             self.failures.append((name, degree))
 
 
+def _syzygy_rank(cone: TruncRing, generators, d: int) -> int:
+    """Rank of the pairs (m h, m g) over ``cone.basis(d - 1)`` twice, for (h, g) in
+    `generators` and m a cone monomial of degree d - 1 - deg h."""
+    index = {m: i for i, m in enumerate(cone.basis(d - 1))}
+    offset = len(index)
+    rows = []
+    for h, g in generators:
+        # the first half of the spanning set is h times each monomial, the second g times it
+        span = GradedModule.over_full_ring(cone, (h, g)).spanning_elements(d - 1)
+        half = len(span) // 2
+        for hm, gm in zip(span[:half], span[half:]):
+            row = dict(_columns(index, hm))
+            row.update((col + offset, c) for col, c in _columns(index, gm))
+            rows.append(row)
+    return rank(rows)
+
+
 def _kernel_syzygy_checks(maxdeg: int, report: ExtensionChainReport) -> DegreeCheck:
-    """Parts (d) and (e): fiber surjectivity and kernel shape; returns whether F_2 is free."""
+    """Parts (d) and (e): fiber surjectivity and kernel shape; returns whether F_2 is free.
+
+    The syzygies (h, g) of (z, x - y) on the cone, h z + g (x - y) = 0, are
+    generated by sigma_1 = (z, x + y) and sigma_2 = (x - y, -z), the matrix
+    factorisation of the A_1 point.  Both are checked once: each is a
+    syzygy, and each satisfies h = lambda g on chart A and g = lambda h on
+    chart B.  Those conditions are linear over the cone, since the chart
+    maps are ring maps, so they pass to every syzygy the two generate.  In
+    each degree d >= 1 the syzygies number 2 dim R_{d-1} - dim I_d by rank
+    and nullity (I the ideal (x - y, z)); that count must equal the
+    kernel's dimension, and the rows m sigma_i must reach it, which shows
+    that sigma_1 and sigma_2 generate in degree d.
+    """
     fiber = central_fiber_ring(maxdeg)
     cone = cone_ring(maxdeg)
     fx, fy, fz, fs = (fiber.var(v) for v in "xyzs")
@@ -824,8 +881,18 @@ def _kernel_syzygy_checks(maxdeg: int, report: ExtensionChainReport) -> DegreeCh
     ideal = GradedModule.over_full_ring(cone, (cx - cy, cz))
 
     dims_f2, dims_img, dims_ker, dims_ideal = [], [], [], []
-    cone_sub = _var_indices(cone, ("x", "y", "z"))
     free = DegreeCheck(True, None)
+
+    # upstairs factorization (f2, f3) = (L2 q, L1 q): chart A has L1 = 1 so
+    # h = L2 * g there; chart B has L2 = 1 so g = L1 * h
+    lam = _CHART_RING.var("lambda")
+    sigmas = ((cz, cx + cy), (cx - cy, -cz))
+    generators_ok = all(
+        (h * cz + g * (cx - cy)).is_zero()
+        and to_chart(h, "A") == lam * to_chart(g, "A")
+        and to_chart(g, "B") == lam * to_chart(h, "B")
+        for h, g in sigmas
+    )
 
     for d in range(maxdeg + 1):
         span = module.spanning_elements(d)
@@ -868,30 +935,10 @@ def _kernel_syzygy_checks(maxdeg: int, report: ExtensionChainReport) -> DegreeCh
         # syzygies of (z, x - y) downstairs match the kernel and are
         # proportional to (L2, L1) on the charts
         if d >= 1:
-            # a relation sum h_j z m_j + g_j (x - y) m_j gives the pair (h, g)
-            mons = [
-                RingElement(cone, {m: 1}, reduced=True)
-                for m in cone.subring_monomials(cone_sub, d - 1)
-            ]
-            pad = [cone.zero()] * len(mons)
-            cols = [cz * m for m in mons] + [(cx - cy) * m for m in mons]
-            syz_pairs = []
-            for combo in nullspace(_relation_rows(cone, cols, d), len(cols)):
-                h = _combination(cone, combo, mons + pad)
-                g = _combination(cone, combo, pad + mons)
-                if not (h.is_zero() and g.is_zero()):
-                    syz_pairs.append((h, g))
-            report.record("syzygy_count_matches_kernel", len(syz_pairs) == ker_dim, d)
-            proportional = True
-            lam = _CHART_RING.var("lambda")
-            for h, g in syz_pairs:
-                ha, ga = to_chart(h, "A"), to_chart(g, "A")
-                hb, gb = to_chart(h, "B"), to_chart(g, "B")
-                # upstairs factorization (f2, f3) = (L2 q, L1 q): chart A has
-                # L1 = 1 so h = L2 * g there; chart B has L2 = 1 so g = L1 * h
-                if ha != lam * ga or gb != lam * hb:
-                    proportional = False
-            report.record("kernel_principal_on_charts", proportional, d)
+            syzygies = 2 * len(cone.basis(d - 1)) - ideal_dim
+            report.record("syzygy_count_matches_kernel", syzygies == ker_dim, d)
+            generated = _syzygy_rank(cone, sigmas, d) == syzygies
+            report.record("kernel_principal_on_charts", generators_ok and generated, d)
 
         dims_f2.append(f2_dim)
         dims_img.append(img_dim)

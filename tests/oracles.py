@@ -60,6 +60,11 @@ is eliminated, with no degree bound and no skipped degree.  The
 package's bounded loops are tested against them.  ``recursive_basis``
 lists a ring's normal-form monomials of one degree by the first
 recursion, which copies its prefix list at every node.
+``nullspace_kernel_syzygy_checks`` is the central-fiber block of
+``verify_extension_chain`` as the package first ran it: in every degree
+it finds each syzygy of (z, x - y) from a nullspace and maps it to both
+resolution charts.  The package checks two generating syzygies once and
+counts the rest by rank, and its reports are tested against this route.
 
 ``sympy_poly`` and ``qpoly_of`` convert a QPoly to a ``sympy.Poly`` in t
 over QQ and back, so the package's polynomial arithmetic can be tested
@@ -766,6 +771,90 @@ def full_min_generator_profile(ring, ideal_gens, maxdeg):
         units = [g for g in module.generators if g.degree == d]
         profile.append(span.extend(lm._vectors(ring, units, d)))
     return profile
+
+
+def nullspace_kernel_syzygy_checks(maxdeg, report):
+    """``localmodel._kernel_syzygy_checks`` with every degree's syzygies found one by one.
+
+    In each degree d >= 1 it multiplies every cone monomial of degree
+    d - 1 by z and by x - y, takes the nullspace of those columns, rebuilds
+    each syzygy (h, g) from it and maps h and g to both resolution charts.
+    """
+    fiber = lm.central_fiber_ring(maxdeg)
+    cone = lm.cone_ring(maxdeg)
+    fx, fy, fz, fs = (fiber.var(v) for v in "xyzs")
+    cx, cy, cz = (cone.var(v) for v in "xyz")
+    to_cone = {"x": cx, "y": cy, "z": cz, "s": cone.zero()}
+
+    module = lm.GradedModule(fiber, (fx - fy, fz + fs), lm._var_indices(fiber, ("x", "y", "z")))
+    ideal = lm.GradedModule.over_full_ring(cone, (cx - cy, cz))
+
+    dims_f2, dims_img, dims_ker, dims_ideal = [], [], [], []
+    cone_sub = lm._var_indices(cone, ("x", "y", "z"))
+    free = lm.DegreeCheck(True, None)
+    lam = lm._CHART_RING.var("lambda")
+
+    for d in range(maxdeg + 1):
+        span = module.spanning_elements(d)
+        f2_dim = lm.rank(lm._vectors(fiber, span, d))
+        if free.ok and f2_dim != len(span):
+            free = lm.DegreeCheck(False, d)
+
+        imaged = [el.map_to(cone, to_cone) for el in span]
+        img_vecs = lm._vectors(cone, imaged, d)
+        img_dim = lm.rank(img_vecs)
+
+        ideal_span = lm.Echelon()
+        ideal_dim = ideal_span.extend(lm._vectors(cone, ideal.spanning_elements(d), d))
+        onto = img_dim == ideal_dim and not ideal_span.extend(img_vecs)
+        report.record("fiber_restriction_onto_ideal", onto, d)
+
+        ker_dim = f2_dim - img_dim
+        kernel_elements = []
+        for combo in lm.nullspace(lm._relation_rows(cone, imaged, d), len(imaged)):
+            el = lm._combination(fiber, combo, span)
+            if not el.is_zero():
+                kernel_elements.append(el)
+        kernel_ok = lm.rank(lm._vectors(fiber, kernel_elements, d)) == ker_dim
+        report.record("dimension_additivity", kernel_ok, d)
+        report.record("kernel_dimension", kernel_ok, d)
+
+        s_index = fiber.var_names.index("s")
+        all_s = all(all(mon[s_index] == 1 for mon in el.terms) for el in kernel_elements)
+        report.record("kernel_is_s_multiple", all_s, d)
+
+        if d >= 1:
+            # a relation sum h_j z m_j + g_j (x - y) m_j gives the pair (h, g)
+            mons = [
+                lm.RingElement(cone, {m: 1}, reduced=True)
+                for m in cone.subring_monomials(cone_sub, d - 1)
+            ]
+            pad = [cone.zero()] * len(mons)
+            cols = [cz * m for m in mons] + [(cx - cy) * m for m in mons]
+            syz_pairs = []
+            for combo in lm.nullspace(lm._relation_rows(cone, cols, d), len(cols)):
+                h = lm._combination(cone, combo, mons + pad)
+                g = lm._combination(cone, combo, pad + mons)
+                if not (h.is_zero() and g.is_zero()):
+                    syz_pairs.append((h, g))
+            report.record("syzygy_count_matches_kernel", len(syz_pairs) == ker_dim, d)
+            proportional = all(
+                lm.to_chart(h, "A") == lam * lm.to_chart(g, "A")
+                and lm.to_chart(g, "B") == lam * lm.to_chart(h, "B")
+                for h, g in syz_pairs
+            )
+            report.record("kernel_principal_on_charts", proportional, d)
+
+        dims_f2.append(f2_dim)
+        dims_img.append(img_dim)
+        dims_ker.append(ker_dim)
+        dims_ideal.append(ideal_dim)
+
+    report.dims["fiber_module"] = dims_f2
+    report.dims["image"] = dims_img
+    report.dims["kernel"] = dims_ker
+    report.dims["ideal"] = dims_ideal
+    return free
 
 
 def recursive_basis(ring, d):

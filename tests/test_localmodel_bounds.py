@@ -7,6 +7,8 @@ hold a generator.  Both must answer exactly as the loops in
 """
 
 import itertools
+import sys
+import threading
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -229,3 +231,85 @@ def test_basis_matches_recursion():
                 assert ring.subring_monomials(sub, d) == [
                     m for m in want if all(e == 0 or i in sub for i, e in enumerate(m))
                 ]
+
+
+def _cone_shaped(max_degree):
+    """A ring of the cone's shape, degrees (1, 1, 1) and x capped at 1, with another relation."""
+    return lm.TruncRing([("a", 1), ("b", 1), ("c", 1)], [("a", 2, {(0, 1, 1): 3})], max_degree)
+
+
+def test_rings_of_one_shape_share_their_basis():
+    cone, other = lm.cone_ring(4), _cone_shaped(9)
+    for d in range(10):
+        assert cone.basis(d) is other.basis(d)
+    # the normal forms follow each ring's own relation
+    assert cone.normal_form((2, 0, 0)) == {(0, 2, 0): 1, (0, 0, 2): -1}
+    assert other.normal_form((2, 0, 0)) == {(0, 1, 1): 3}
+    assert cone.reduce_terms({(3, 1, 0): 1}) != other.reduce_terms({(3, 1, 0): 1})
+
+
+def test_rings_of_other_shapes_do_not():
+    cone = lm.cone_ring(8)
+    others = [
+        lm.base_ring(8),  # x uncapped
+        lm.TruncRing([("x", 1), ("y", 1), ("z", 1)], [("x", 3, {})], 8),  # x capped at 2
+        lm.TruncRing([("x", 1), ("y", 2), ("z", 1)], [("x", 2, {(0, 0, 2): 1})], 8),  # y of degree 2
+    ]
+    for ring in others:
+        for d in range(2, 9):
+            assert ring.basis(d) != cone.basis(d)
+            assert ring.basis(d) == recursive_basis(ring, d)
+
+
+def _twin(ring, max_degree):
+    """A ring of the same shape as `ring`: each rewritten variable nilpotent of the same power."""
+    names = list(zip(ring.var_names, ring.var_degrees))
+    return lm.TruncRing(names, [(v, rel.power, {}) for v, rel in ring.relations.items()], max_degree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_shared_bases_match_recursion_in_any_order(data):
+    # rings built and queried in a drawn order, some sharing a shape with
+    # rings of earlier examples in this process
+    originals = data.draw(st.lists(rings(), min_size=1, max_size=4))
+    built = originals + [_twin(r, data.draw(st.integers(0, MAXDEG))) for r in originals]
+    order = data.draw(st.permutations(range(len(built))))
+    degrees = data.draw(st.permutations(range(MAXDEG + 1)))
+    for i in order:
+        for d in degrees:
+            assert built[i].basis(d) == recursive_basis(built[i], d)
+    for ring, twin in zip(originals, built[len(originals):]):
+        for d in degrees:
+            assert twin.basis(d) is ring.basis(d)
+
+
+def test_shared_bases_under_racing_threads():
+    # more threads than cores, switching often, each building its own rings
+    # of shapes no other test uses and asking for every degree at once
+    shapes = [((1, 3, 2), ("a", 4)), ((2, 1, 3), ("b", 5)), ((3, 3, 1), ("c", 2))]
+    errors = []
+
+    def work():
+        try:
+            for degrees, (capped, power) in shapes:
+                names = list(zip("abc", degrees))
+                ring = lm.TruncRing(names, [(capped, power, {})], MAXDEG)
+                for d in range(MAXDEG + 1):
+                    if ring.basis(d) != recursive_basis(ring, d):
+                        errors.append((degrees, d))
+        except Exception as exc:  # reported below; a thread's exception is otherwise lost
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []

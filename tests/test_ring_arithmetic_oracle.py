@@ -3,9 +3,13 @@
 The package keeps ring coefficients as ints where they are integral, sums
 memoised monomial normal forms, and maps to the resolution charts by the
 doubled images.  Here every spanning set that ``verify_extension_chain``
-and the benchmark's graded checks build is recomputed on Fractions: the
-coordinate rows must agree, and the chart images of a degree-d element
-must be exactly 2^d times the true ones.  Hypothesis tests then pin that
+and the benchmark's graded checks build is recomputed on Fractions,
+together with the syzygy columns of the nullspace route in
+``tests/oracles.py``: the coordinate rows must agree, and the chart
+images of a degree-d element must be exactly 2^d times the true ones.
+The spanning sets include the components of the syzygy generators
+sigma_1 = (z, x + y) and sigma_2 = (x - y, -z) times monomials, whose
+pairs are the rows of the central-fiber syzygy rank.  Hypothesis tests then pin that
 no sum, product, power or map stores a zero coefficient and that results
 in a ring with relations stay reduced.
 """
@@ -52,7 +56,9 @@ def _modules(name, maxdeg):
         ((x - y, z), full, False),  # the cone ideal; pulled back to the charts
         ((x - y, z), full, True),
         ((x - y, z), xyz, False),
-        ((z, x - y), xyz, False),  # syzygy columns of (z, x - y)
+        ((z, x - y), xyz, False),  # the oracle's syzygy columns of (z, x - y)
+        ((z, x + y), xyz, False),  # the components of sigma_1 times monomials
+        ((x - y, -z), xyz, False),  # and of sigma_2: the rows of the syzygy rank
         ((x - y,), full, True),
         ((one,), full, False),
         ((one,), xyz, False),
