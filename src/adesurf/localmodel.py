@@ -23,7 +23,9 @@ Two questions stop early where graded Nakayama settles them:
 ``check_generate`` stops at the degree ``_generation_bound`` proves
 sufficient, when there is one, and ``min_generator_profile`` eliminates
 only in the degrees of the ideal's generators, since (I/mI)_d is 0 in
-every other degree.
+every other degree.  ``check_free`` first tries one rank over the
+polynomial part of its coefficient subring, which settles every degree at
+once when the generators are free there.
 
 The second half of the file is the branch-locus verification suite: the
 local rings of a spectral cover's double point (s^2 = t), of the family
@@ -226,7 +228,7 @@ class TruncRing:
         return sum(e * d for e, d in zip(mon, self.var_degrees))
 
     def var(self, name: str) -> "RingElement":
-        i = self.var_names.index(name)
+        i = _var_index(self, name)
         mon = tuple(int(j == i) for j in range(self.nvars))
         return RingElement(self, {mon: 1})
 
@@ -623,14 +625,70 @@ def check_generate(
     return DegreeCheck(True, None)
 
 
+def _primes(n: int) -> list[int]:
+    """The first n primes."""
+    out: list[int] = []
+    k = 2
+    while len(out) < n:
+        if all(k % p for p in out):
+            out.append(k)
+        k += 1
+    return out
+
+
+def _free_certificate(ring: TruncRing, module: GradedModule, maxdeg: int) -> bool:
+    """True only if no subring coefficient tuple annihilates the generators in degrees <= maxdeg.
+
+    Split the coefficient variables into V_0, those no relation rewrites,
+    and the capped ones.  A normal-form monomial times a V_0-monomial is
+    again normal, so the ring is free over C[V_0] on its normal monomials
+    outside V_0, and a spanning element m * g of degree d is m_0 * nf(t * g)
+    for one V_0-monomial m_0 and one normal-form monomial t in the capped
+    variables.  Every degree up to maxdeg passes exactly when the elements
+    nf(t * g) of degree <= maxdeg are independent over Frac C[V_0].  Their
+    coordinates over C[V_0] are the terms grouped by the part outside V_0;
+    evaluated at a point of distinct primes they give an integer matrix,
+    and full row rank there means a maximal minor is a nonzero polynomial.
+    A shortfall proves nothing: False.
+    """
+    v0 = [v for v in module.coeff_vars if v not in ring.relations]
+    capped = tuple(v for v in module.coeff_vars if v in ring.relations)
+    point = [0] * ring.nvars  # the value of each V_0 variable; 0 elsewhere
+    for v, p in zip(v0, _primes(len(v0))):
+        point[v] = p
+    columns: dict[Monomial, int] = {}  # part outside V_0 -> column
+    rows = []
+    for g in module.generators:
+        for k in range(maxdeg - g.degree + 1):
+            for t in ring.subring_monomials(capped, k):
+                row: dict[int, Coeff] = {}
+                for mon, c in ring.reduce_terms(_product({t: 1}, g.terms)).items():
+                    for p, e in zip(point, mon):
+                        if p and e:
+                            c *= p**e
+                    outside = tuple(0 if p else e for p, e in zip(point, mon))
+                    col = columns.setdefault(outside, len(columns))
+                    row[col] = row.get(col, 0) + c
+                rows.append(row)
+    return rank(rows) == len(rows)
+
+
 def check_free(ring: TruncRing, gens, over_vars, maxdeg: int) -> DegreeCheck:
-    """No subring coefficient tuple annihilates the generators in degrees <= maxdeg."""
+    """No subring coefficient tuple annihilates the generators in degrees <= maxdeg.
+
+    ``_free_certificate`` first tries to prove this for every degree at
+    once, with one rank over the coefficient subring's polynomial part.
+    When it cannot, every degree is eliminated in turn and the first one
+    where the spanning elements are dependent is reported.
+    """
     over = _var_indices(ring, over_vars)
     gens = tuple(gens)
     for g in gens:
         if g.is_zero():
             return DegreeCheck(False, 0)
     module = GradedModule(ring, gens, over)
+    if _free_certificate(ring, module, maxdeg):
+        return DegreeCheck(True, None)
     for d in range(maxdeg + 1):
         vecs = _vectors(ring, module.spanning_elements(d), d)
         if rank(vecs) != len(vecs):
@@ -654,11 +712,19 @@ def min_generator_profile(ring: TruncRing, ideal_gens, maxdeg: int) -> list[int]
     return profile
 
 
+def _var_index(ring: TruncRing, v: str | int) -> int:
+    """The index of a variable named `v`, or `v` itself when it indexes one; else AdesurfError."""
+    if isinstance(v, str):
+        if v in ring.var_names:
+            return ring.var_names.index(v)
+    elif 0 <= int(v) < ring.nvars:
+        return int(v)
+    raise AdesurfError(f"no variable {v!r} in the ring of {', '.join(ring.var_names)}")
+
+
 def _var_indices(ring: TruncRing, over_vars) -> tuple[int, ...]:
-    out = []
-    for v in over_vars:
-        out.append(ring.var_names.index(v) if isinstance(v, str) else int(v))
-    return tuple(sorted(set(out)))
+    """Sorted distinct indices of variables given by name or by index."""
+    return tuple(sorted({_var_index(ring, v) for v in over_vars}))
 
 
 def singular_locus_rank(relation_polys, point) -> int:
@@ -877,11 +943,13 @@ def _kernel_syzygy_checks(maxdeg: int, report: ExtensionChainReport) -> DegreeCh
     to_cone = {"x": cx, "y": cy, "z": cz, "s": cone.zero()}
 
     gen1, gen2 = fx - fy, fz + fs  # the kernel-sheaf module F_2
-    module = GradedModule(fiber, (gen1, gen2), _var_indices(fiber, ("x", "y", "z")))
+    xyz = _var_indices(fiber, ("x", "y", "z"))
+    module = GradedModule(fiber, (gen1, gen2), xyz)
     ideal = GradedModule.over_full_ring(cone, (cx - cy, cz))
 
     dims_f2, dims_img, dims_ker, dims_ideal = [], [], [], []
-    free = DegreeCheck(True, None)
+    # below its first dependent degree the spanning set of F_2 is a basis
+    free = check_free(fiber, (gen1, gen2), xyz, maxdeg)
 
     # upstairs factorization (f2, f3) = (L2 q, L1 q): chart A has L1 = 1 so
     # h = L2 * g there; chart B has L2 = 1 so g = L1 * h
@@ -896,9 +964,10 @@ def _kernel_syzygy_checks(maxdeg: int, report: ExtensionChainReport) -> DegreeCh
 
     for d in range(maxdeg + 1):
         span = module.spanning_elements(d)
-        f2_dim = rank(_vectors(fiber, span, d))
-        if free.ok and f2_dim != len(span):
-            free = DegreeCheck(False, d)
+        if free.ok or d < free.first_failure_degree:
+            f2_dim = len(span)
+        else:
+            f2_dim = rank(_vectors(fiber, span, d))
 
         imaged = [el.map_to(cone, to_cone) for el in span]
         img_vecs = _vectors(cone, imaged, d)
@@ -1009,10 +1078,11 @@ def verify_extension_chain(maxdeg: int = 8) -> ExtensionChainReport:
     report.min_generators["universal_divisor"] = sum(profile_d)
     report.min_generators["cartier_sum"] = sum(profile_sum)
     report.record("weil_not_cartier", (sum(profile_d), sum(profile_sum)) == (2, 1))
-    # a fresh generator in the top two degrees would mean the count has not
-    # stabilized below the truncation bound
-    if maxdeg >= 2 and any(
-        p for prof in (profile_d, profile_sum) for p in prof[maxdeg - 1 :]
+    # a fresh generator in the top two degrees, or none at all, would mean
+    # the count has not stabilized below the truncation bound
+    profiles = (profile_d, profile_sum)
+    if any(p for prof in profiles for p in prof[max(maxdeg - 1, 0) :]) or not all(
+        sum(prof) for prof in profiles
     ):
         report.truncation_warning = True
 

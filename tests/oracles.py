@@ -57,7 +57,9 @@ package's pairing rows and pairings are tested against them.
 ``full_check_generate`` and ``full_min_generator_profile`` are the
 graded checks as the package first ran them: every degree up to maxdeg
 is eliminated, with no degree bound and no skipped degree.  The
-package's bounded loops are tested against them.  ``recursive_basis``
+package's bounded loops are tested against them.  ``check_free_by_degree``
+is ``check_free`` with no freeness certificate: it eliminates every
+degree up to maxdeg and reports the first dependent one.  ``recursive_basis``
 lists a ring's normal-form monomials of one degree by the first
 recursion, which copies its prefix list at every node.
 ``nullspace_kernel_syzygy_checks`` is the central-fiber block of
@@ -771,6 +773,21 @@ def full_min_generator_profile(ring, ideal_gens, maxdeg):
         units = [g for g in module.generators if g.degree == d]
         profile.append(span.extend(lm._vectors(ring, units, d)))
     return profile
+
+
+def check_free_by_degree(ring, gens, over_vars, maxdeg):
+    """``localmodel.check_free`` run through every degree <= maxdeg."""
+    over = lm._var_indices(ring, over_vars)
+    gens = tuple(gens)
+    for g in gens:
+        if g.is_zero():
+            return lm.DegreeCheck(False, 0)
+    module = lm.GradedModule(ring, gens, over)
+    for d in range(maxdeg + 1):
+        vecs = lm._vectors(ring, module.spanning_elements(d), d)
+        if lm.rank(vecs) != len(vecs):
+            return lm.DegreeCheck(False, d)
+    return lm.DegreeCheck(True, None)
 
 
 def nullspace_kernel_syzygy_checks(maxdeg, report):

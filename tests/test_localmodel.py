@@ -124,6 +124,23 @@ def test_check_free():
     assert not dup.ok and dup.first_failure_degree == 1
 
 
+@pytest.mark.parametrize("over", [(7,), (-1,), ("q",), ("x", 4)])
+def test_module_queries_refuse_unknown_variables(over):
+    r = conifold_ring(4)
+    x, y = r.var("x"), r.var("y")
+    whole = GradedModule.over_full_ring(r, (r.const(1),))
+    name = repr(over[-1])
+    with pytest.raises(AdesurfError, match=f"no variable {name}"):
+        check_free(r, (x - y,), over, 4)
+    with pytest.raises(AdesurfError, match=f"no variable {name}"):
+        check_generate(r, whole, (r.const(1),), over, 4)
+
+
+def test_var_refuses_unknown_names():
+    with pytest.raises(AdesurfError, match="no variable 'q'"):
+        conifold_ring(4).var("q")
+
+
 def test_min_generators_weil_vs_cartier():
     r = conifold_ring(8)
     x, y, z, s = (r.var(v) for v in "xyzs")
@@ -142,10 +159,11 @@ def test_min_generator_profile_concentrated_in_degree_one():
 
 
 def test_truncation_warning_fires_near_bound():
-    # the warning looks for a generator in the top two degrees from maxdeg 2
-    # on, and the degree-1 generators fall in that window only at maxdeg 2
+    # the warning looks for a generator in the top two degrees, or for none
+    # at all: maxdeg 0 holds no generator, and the degree-1 generators fall
+    # in that window at maxdeg 1 and 2
     for maxdeg in range(9):
-        assert verify_extension_chain(maxdeg).truncation_warning is (maxdeg == 2), maxdeg
+        assert verify_extension_chain(maxdeg).truncation_warning is (maxdeg <= 2), maxdeg
     # at maxdeg 2 the degree-2 generator of (x*y,) sits in the top window
     free = base_ring(4)
     fx, fy = free.var("x"), free.var("y")

@@ -1,9 +1,11 @@
 """The graded checks' degree bound against the full-degree loops.
 
 ``check_generate`` stops at the degree ``_generation_bound`` proves
-sufficient, and ``min_generator_profile`` eliminates only in degrees that
-hold a generator.  Both must answer exactly as the loops in
-``tests/oracles.py``, which eliminate in every degree up to maxdeg.
+sufficient, ``min_generator_profile`` eliminates only in degrees that
+hold a generator, and ``check_free`` skips its loop when one rank over the
+coefficient subring proves freeness.  All three must answer exactly as
+the loops in ``tests/oracles.py``, which eliminate in every degree up to
+maxdeg.
 """
 
 import itertools
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from adesurf import localmodel as lm
 
-from .oracles import full_check_generate, full_min_generator_profile, recursive_basis
+from .oracles import check_free_by_degree, full_check_generate, full_min_generator_profile, recursive_basis
 
 MAXDEG = 10
 
@@ -215,6 +217,51 @@ def _weighted_ring():
         [("v", 3, {(6, 0, 0, 0): 1, (0, 0, 3, 1): -2}), ("w", 2, {(2, 0, 0, 0): 1})],
         10,
     )
+
+
+def _free_rings():
+    """The built-in rings and one weighted ring with a cube relation, at max_degree 6."""
+    return [
+        lm.conifold_ring(6), lm.cone_ring(6), lm.central_fiber_ring(6), lm.base_ring(6),
+        _weighted_ring(),
+    ]
+
+
+@st.composite
+def freeness_problems(draw):
+    """(ring, 1-3 homogeneous generators of degree 0-2, non-empty coefficient variables, maxdeg 0-6)."""
+    ring = draw(st.sampled_from(_free_rings()))
+    gens = _elements(draw, ring, range(3), 3)
+    over = tuple(sorted(draw(st.sets(st.integers(0, ring.nvars - 1), min_size=1))))
+    return ring, gens, over, draw(st.integers(0, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(freeness_problems())
+def test_check_free_matches_full_loop(problem):
+    ring, gens, over, maxdeg = problem
+    assert lm.check_free(ring, gens, over, maxdeg) == check_free_by_degree(ring, gens, over, maxdeg)
+
+
+def test_freeness_certificate_decides(monkeypatch):
+    xyz = ("x", "y", "z")
+    for ring in (lm.conifold_ring(12), lm.central_fiber_ring(12)):
+        x, y, z, s = (ring.var(v) for v in "xyzs")
+        got, degrees = _degrees_eliminated(monkeypatch, lm.check_free, ring, (x - y, z + s), xyz, 12)
+        assert got.ok and degrees == []
+    # on the cone, a domain, z * (x - y) - (x - y) * z = 0 is a relation in
+    # degree 2: the certificate falls short and the loop finds that degree
+    cone = lm.cone_ring(12)
+    x, y, z = (cone.var(v) for v in "xyz")
+    got, degrees = _degrees_eliminated(monkeypatch, lm.check_free, cone, (x - y, z), xyz, 12)
+    assert got == lm.DegreeCheck(False, 2) and degrees == [0, 1, 2]
+    # s alone is free in degree 1, but s * s = 0: the certificate must count
+    # the multiples of s by the capped s, not just s itself
+    fiber = lm.central_fiber_ring(12)
+    s = fiber.var("s")
+    want = check_free_by_degree(fiber, (s,), "xyzs", 12)
+    assert want == lm.DegreeCheck(False, 2)
+    assert lm.check_free(fiber, (s,), "xyzs", 12) == want
 
 
 def test_basis_matches_recursion():
