@@ -1080,10 +1080,8 @@ def verify_extension_chain(maxdeg: int = 8) -> ExtensionChainReport:
     report.record("weil_not_cartier", (sum(profile_d), sum(profile_sum)) == (2, 1))
     # a fresh generator in the top two degrees, or none at all, would mean
     # the count has not stabilized below the truncation bound
-    profiles = (profile_d, profile_sum)
-    if any(p for prof in profiles for p in prof[max(maxdeg - 1, 0) :]) or not all(
-        sum(prof) for prof in profiles
-    ):
+    top = max(maxdeg - 1, 0)
+    if any(any(prof[top:]) or not any(prof) for prof in (profile_d, profile_sum)):
         report.truncation_warning = True
 
     # conifold point is singular, nearby points are smooth; the defining

@@ -220,7 +220,7 @@ def _weighted_ring():
 
 
 def _free_rings():
-    """The built-in rings and one weighted ring with a cube relation, at max_degree 6."""
+    """The four built-in rings and one weighted ring with a cube relation."""
     return [
         lm.conifold_ring(6), lm.cone_ring(6), lm.central_fiber_ring(6), lm.base_ring(6),
         _weighted_ring(),
