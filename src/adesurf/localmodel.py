@@ -25,7 +25,8 @@ sufficient, when there is one, and ``min_generator_profile`` eliminates
 only in the degrees of the ideal's generators, since (I/mI)_d is 0 in
 every other degree.  ``check_free`` first tries one rank over the
 polynomial part of its coefficient subring, which settles every degree at
-once when the generators are free there.
+once when the generators are free there; ``_spanning_counts`` then gives
+the module's dimension in each degree by counting, not by eliminating.
 
 The second half of the file is the branch-locus verification suite: the
 local rings of a spectral cover's double point (s^2 = t), of the family
@@ -38,7 +39,9 @@ the pushforward computation at the branch locus:
   (c) the divisor cut out by x = y, z = s needs two generators at the
       origin while its Cartier partner x = y needs one;
   (d) on the central fiber, killing s maps the kernel module onto the
-      ideal (x - y, z) with exact dimension bookkeeping in every degree;
+      ideal (x - y, z) with exact dimension bookkeeping in every degree
+      (eliminated up to degree 2, where every module here is generated
+      over C[y, z], and counted from free bases above it);
   (e) the kernel of that map becomes principal on the resolution charts
       (the two generators of the syzygies, and so every syzygy, are
       proportional to (lambda_2, lambda_1)), and the
@@ -169,8 +172,10 @@ class TruncRing:
     # -- construction helpers ------------------------------------------------
     def _normalize_relation(self, rel) -> Relation:
         var, power, rhs = rel
-        if isinstance(var, str):
-            var = self.var_names.index(var)
+        try:
+            var = _var_index(self, var)
+        except AdesurfError as exc:
+            raise RingConstructionError(f"relation variable: {exc}") from None
         power = int(power)
         if power < 1:
             raise RingConstructionError("relation power must be >= 1")
@@ -566,6 +571,28 @@ class DegreeCheck:
     first_failure_degree: int | None = None
 
 
+def _capped_top(ring: TruncRing, capped) -> int:
+    """The largest degree of a normal-form monomial in the rewritten variables `capped`."""
+    return sum((ring.relations[v].power - 1) * ring.var_degrees[v] for v in capped)
+
+
+def _capped_monomials(ring: TruncRing, capped: tuple[int, ...], top: int) -> list[Monomial]:
+    """Normal-form monomials in the rewritten variables `capped` of degree <= top, by degree.
+
+    None lies above ``_capped_top``, so the degrees stop there however
+    large `top` is.
+    """
+    top = min(top, _capped_top(ring, capped))
+    return [t for k in range(top + 1) for t in ring.subring_monomials(capped, k)]
+
+
+def _split_coefficients(ring: TruncRing, module: GradedModule) -> tuple[list[int], tuple[int, ...]]:
+    """The module's coefficient variables that no relation rewrites (V_0), and the capped rest."""
+    v0 = [v for v in module.coeff_vars if v not in ring.relations]
+    capped = tuple(v for v in module.coeff_vars if v in ring.relations)
+    return v0, capped
+
+
 def _generation_bound(ring: TruncRing, target: GradedModule, candidate: GradedModule) -> int | None:
     """A degree a such that target_d = candidate_d for d <= a implies it in every degree.
 
@@ -588,8 +615,7 @@ def _generation_bound(ring: TruncRing, target: GradedModule, candidate: GradedMo
     for v in s_c & rewritten:
         if any(e and w not in s_c for mon, _ in ring.relations[v].rhs for w, e in enumerate(mon)):
             return None
-    # the normal-form monomial in the extra variables of largest degree
-    top_extra = sum((ring.relations[v].power - 1) * ring.var_degrees[v] for v in extra)
+    top_extra = _capped_top(ring, extra)
     degrees = [g.degree + top_extra for g in target.generators]
     degrees += [g.degree for g in candidate.generators]
     return max(degrees, default=0)
@@ -651,26 +677,47 @@ def _free_certificate(ring: TruncRing, module: GradedModule, maxdeg: int) -> boo
     and full row rank there means a maximal minor is a nonzero polynomial.
     A shortfall proves nothing: False.
     """
-    v0 = [v for v in module.coeff_vars if v not in ring.relations]
-    capped = tuple(v for v in module.coeff_vars if v in ring.relations)
+    v0, capped = _split_coefficients(ring, module)
     point = [0] * ring.nvars  # the value of each V_0 variable; 0 elsewhere
     for v, p in zip(v0, _primes(len(v0))):
         point[v] = p
     columns: dict[Monomial, int] = {}  # part outside V_0 -> column
     rows = []
     for g in module.generators:
-        for k in range(maxdeg - g.degree + 1):
-            for t in ring.subring_monomials(capped, k):
-                row: dict[int, Coeff] = {}
-                for mon, c in ring.reduce_terms(_product({t: 1}, g.terms)).items():
-                    for p, e in zip(point, mon):
-                        if p and e:
-                            c *= p**e
-                    outside = tuple(0 if p else e for p, e in zip(point, mon))
-                    col = columns.setdefault(outside, len(columns))
-                    row[col] = row.get(col, 0) + c
-                rows.append(row)
+        for t in _capped_monomials(ring, capped, maxdeg - g.degree):
+            row: dict[int, Coeff] = {}
+            for mon, c in ring.reduce_terms(_product({t: 1}, g.terms)).items():
+                for p, e in zip(point, mon):
+                    if p and e:
+                        c *= p**e
+                outside = tuple(0 if p else e for p, e in zip(point, mon))
+                col = columns.setdefault(outside, len(columns))
+                row[col] = row.get(col, 0) + c
+            rows.append(row)
     return rank(rows) == len(rows)
+
+
+def _spanning_counts(ring: TruncRing, module: GradedModule, maxdeg: int) -> list[int]:
+    """len(module.spanning_elements(d)) for each d <= maxdeg, counted without building them.
+
+    A normal-form monomial in the coefficient variables is a V_0-monomial
+    times a normal-form monomial t in the capped ones, so the count is the
+    Hilbert function of the free C[V_0]-module on the t * g: the sum over
+    t and g of the number of V_0-monomials of degree d - deg t - deg g.
+    It is dim M_d in every degree where ``check_free`` holds.
+    """
+    v0, capped = _split_coefficients(ring, module)
+    poly = [1] + [0] * maxdeg  # the number of V_0-monomials of each degree
+    for v in v0:
+        w = ring.var_degrees[v]
+        for d in range(w, maxdeg + 1):
+            poly[d] += poly[d - w]
+    counts = [0] * (maxdeg + 1)
+    for g in module.generators:
+        for t in _capped_monomials(ring, capped, maxdeg - g.degree):
+            e = g.degree + ring.monomial_degree(t)
+            counts[e:] = [c + p for c, p in zip(counts[e:], poly)]
+    return counts
 
 
 def check_free(ring: TruncRing, gens, over_vars, maxdeg: int) -> DegreeCheck:
@@ -699,16 +746,18 @@ def check_free(ring: TruncRing, gens, over_vars, maxdeg: int) -> DegreeCheck:
 def min_generator_profile(ring: TruncRing, ideal_gens, maxdeg: int) -> list[int]:
     """dim of (I / mI)_d for each degree d <= maxdeg."""
     module = GradedModule.over_full_ring(ring, tuple(ideal_gens))
-    profile = []
-    for d in range(maxdeg + 1):
-        units = [g for g in module.generators if g.degree == d]
-        if not units:  # nothing of degree d can enlarge (mI)_d
-            profile.append(0)
-            continue
+    by_degree: dict[int, list[RingElement]] = {}
+    for g in module.generators:
+        by_degree.setdefault(g.degree, []).append(g)
+    # nothing of a degree without a generator can enlarge (mI)_d
+    profile = [0] * (maxdeg + 1)
+    for d, units in sorted(by_degree.items()):
+        if d > maxdeg:
+            break
         # (mI)_d first; the generators of degree d then add dim (I / mI)_d
         span = Echelon()
         span.extend(_vectors(ring, module.spanning_elements(d, skip_units=True), d))
-        profile.append(span.extend(_vectors(ring, units, d)))
+        profile[d] = span.extend(_vectors(ring, units, d))
     return profile
 
 
@@ -922,6 +971,11 @@ def _syzygy_rank(cone: TruncRing, generators, d: int) -> int:
     return rank(rows)
 
 
+# the largest degree of a generator over C[y, z] of F_2, the ideal (x - y, z)
+# and the kernel between them, and of sigma_1 and sigma_2
+_FIBER_TOP = 2
+
+
 def _kernel_syzygy_checks(maxdeg: int, report: ExtensionChainReport) -> DegreeCheck:
     """Parts (d) and (e): fiber surjectivity and kernel shape; returns whether F_2 is free.
 
@@ -935,6 +989,21 @@ def _kernel_syzygy_checks(maxdeg: int, report: ExtensionChainReport) -> DegreeCh
     and nullity (I the ideal (x - y, z)); that count must equal the
     kernel's dimension, and the rows m sigma_i must reach it, which shows
     that sigma_1 and sigma_2 generate in degree d.
+
+    Every degree above _FIBER_TOP = 2 follows from the degrees up to it
+    (graded Nakayama over A = C[y, z]; Eisenbud, GTM 150, 4.1 and 19).
+    The cone is free over A on 1 and x, so F_2, free on its two
+    generators, is free over A on g and x g.  When I is free over A on
+    x - y and z (``check_free`` and ``check_generate`` over y, z), F_2 -> I
+    is A-linear and onto, and its kernel is a graded projective, hence
+    free, A-module with Hilbert series 2 t^2 / (1 - t)^2: two generators
+    of degree 2, whose s-multiple shape passes to every kernel element.
+    The syzygies of (z, x - y) are free over A with the same series, so
+    sigma_1 and sigma_2 generate them once they are independent in
+    degree 2.  So when those certificates hold and no check failed up to
+    degree 2, each check holds in every higher degree, where recording it
+    again would change nothing, and the dims are the Hilbert functions of
+    the free A-modules.  Otherwise every degree up to maxdeg runs.
     """
     fiber = central_fiber_ring(maxdeg)
     cone = cone_ring(maxdeg)
@@ -950,6 +1019,8 @@ def _kernel_syzygy_checks(maxdeg: int, report: ExtensionChainReport) -> DegreeCh
     dims_f2, dims_img, dims_ker, dims_ideal = [], [], [], []
     # below its first dependent degree the spanning set of F_2 is a basis
     free = check_free(fiber, (gen1, gen2), xyz, maxdeg)
+    over_a = ("y", "z")
+    recorded = len(report.failures)
 
     # upstairs factorization (f2, f3) = (L2 q, L1 q): chart A has L1 = 1 so
     # h = L2 * g there; chart B has L2 = 1 so g = L1 * h
@@ -963,6 +1034,22 @@ def _kernel_syzygy_checks(maxdeg: int, report: ExtensionChainReport) -> DegreeCh
     )
 
     for d in range(maxdeg + 1):
+        if (
+            d == _FIBER_TOP + 1
+            and len(report.failures) == recorded
+            and free.ok
+            and check_free(cone, ideal.generators, over_a, maxdeg).ok
+            and check_generate(cone, ideal, ideal.generators, over_a, maxdeg).ok
+        ):
+            ideal_a = GradedModule(cone, ideal.generators, _var_indices(cone, over_a))
+            ideal_dims = _spanning_counts(cone, ideal_a, maxdeg)[d:]
+            f2_dims = _spanning_counts(fiber, module, maxdeg)[d:]
+            dims_f2 += f2_dims
+            dims_img += ideal_dims
+            dims_ker += [f - i for f, i in zip(f2_dims, ideal_dims)]
+            dims_ideal += ideal_dims
+            break
+
         span = module.spanning_elements(d)
         if free.ok or d < free.first_failure_degree:
             f2_dim = len(span)

@@ -67,6 +67,11 @@ recursion, which copies its prefix list at every node.
 it finds each syzygy of (z, x - y) from a nullspace and maps it to both
 resolution charts.  The package checks two generating syzygies once and
 counts the rest by rank, and its reports are tested against this route.
+``per_degree_kernel_syzygy_checks`` is that block as it ran before it
+learned to stop at degree 2: the two generators checked once, then the
+per-degree block in every degree up to maxdeg.  The package's reports,
+whose dims above degree 2 come from free bases over C[y, z], are tested
+against it too.
 
 ``sympy_poly`` and ``qpoly_of`` convert a QPoly to a ``sympy.Poly`` in t
 over QQ and back, so the package's polynomial arithmetic can be tested
@@ -861,6 +866,105 @@ def nullspace_kernel_syzygy_checks(maxdeg, report):
                 for h, g in syz_pairs
             )
             report.record("kernel_principal_on_charts", proportional, d)
+
+        dims_f2.append(f2_dim)
+        dims_img.append(img_dim)
+        dims_ker.append(ker_dim)
+        dims_ideal.append(ideal_dim)
+
+    report.dims["fiber_module"] = dims_f2
+    report.dims["image"] = dims_img
+    report.dims["kernel"] = dims_ker
+    report.dims["ideal"] = dims_ideal
+    return free
+
+
+def per_degree_kernel_syzygy_checks(maxdeg, report):
+    """``localmodel._kernel_syzygy_checks`` with its per-degree block run in every degree <= maxdeg.
+
+    The syzygies (h, g) of (z, x - y) on the cone, h z + g (x - y) = 0, are
+    generated by sigma_1 = (z, x + y) and sigma_2 = (x - y, -z), the matrix
+    factorisation of the A_1 point.  Both are checked once: each is a
+    syzygy, and each satisfies h = lambda g on chart A and g = lambda h on
+    chart B.  Those conditions are linear over the cone, since the chart
+    maps are ring maps, so they pass to every syzygy the two generate.  In
+    each degree d >= 1 the syzygies number 2 dim R_{d-1} - dim I_d by rank
+    and nullity (I the ideal (x - y, z)); that count must equal the
+    kernel's dimension, and the rows m sigma_i must reach it, which shows
+    that sigma_1 and sigma_2 generate in degree d.
+    """
+    fiber = lm.central_fiber_ring(maxdeg)
+    cone = lm.cone_ring(maxdeg)
+    fx, fy, fz, fs = (fiber.var(v) for v in "xyzs")
+    cx, cy, cz = (cone.var(v) for v in "xyz")
+    to_cone = {"x": cx, "y": cy, "z": cz, "s": cone.zero()}
+
+    gen1, gen2 = fx - fy, fz + fs  # the kernel-sheaf module F_2
+    xyz = lm._var_indices(fiber, ("x", "y", "z"))
+    module = lm.GradedModule(fiber, (gen1, gen2), xyz)
+    ideal = lm.GradedModule.over_full_ring(cone, (cx - cy, cz))
+
+    dims_f2, dims_img, dims_ker, dims_ideal = [], [], [], []
+    # below its first dependent degree the spanning set of F_2 is a basis
+    free = lm.check_free(fiber, (gen1, gen2), xyz, maxdeg)
+
+    # upstairs factorization (f2, f3) = (L2 q, L1 q): chart A has L1 = 1 so
+    # h = L2 * g there; chart B has L2 = 1 so g = L1 * h
+    lam = lm._CHART_RING.var("lambda")
+    sigmas = ((cz, cx + cy), (cx - cy, -cz))
+    generators_ok = all(
+        (h * cz + g * (cx - cy)).is_zero()
+        and lm.to_chart(h, "A") == lam * lm.to_chart(g, "A")
+        and lm.to_chart(g, "B") == lam * lm.to_chart(h, "B")
+        for h, g in sigmas
+    )
+
+    for d in range(maxdeg + 1):
+        span = module.spanning_elements(d)
+        if free.ok or d < free.first_failure_degree:
+            f2_dim = len(span)
+        else:
+            f2_dim = lm.rank(lm._vectors(fiber, span, d))
+
+        imaged = [el.map_to(cone, to_cone) for el in span]
+        img_vecs = lm._vectors(cone, imaged, d)
+        img_dim = lm.rank(img_vecs)
+
+        ideal_span = lm.Echelon()
+        ideal_dim = ideal_span.extend(lm._vectors(cone, ideal.spanning_elements(d), d))
+
+        # onto iff the image has the ideal's dimension and lies inside it
+        onto = img_dim == ideal_dim and not ideal_span.extend(img_vecs)
+        report.record("fiber_restriction_onto_ideal", onto, d)
+
+        # explicit kernel: relations among the images as combinations of the
+        # spanning set, less those already zero in F_2 (span redundancy); its
+        # rank must be the rank count dim F_2 - dim image
+        ker_dim = f2_dim - img_dim
+        kernel_elements = []
+        for combo in lm.nullspace(lm._relation_rows(cone, imaged, d), len(imaged)):
+            el = lm._combination(fiber, combo, span)
+            if not el.is_zero():
+                kernel_elements.append(el)
+        kvecs = lm._vectors(fiber, kernel_elements, d)
+        kernel_ok = lm.rank(kvecs) == ker_dim
+        report.record("dimension_additivity", kernel_ok, d)
+        report.record("kernel_dimension", kernel_ok, d)
+
+        # every kernel element is s * (polynomial in x, y, z)
+        s_index = fiber.var_names.index("s")
+        all_s = all(
+            all(mon[s_index] == 1 for mon in el.terms) for el in kernel_elements
+        )
+        report.record("kernel_is_s_multiple", all_s, d)
+
+        # syzygies of (z, x - y) downstairs match the kernel and are
+        # proportional to (L2, L1) on the charts
+        if d >= 1:
+            syzygies = 2 * len(cone.basis(d - 1)) - ideal_dim
+            report.record("syzygy_count_matches_kernel", syzygies == ker_dim, d)
+            generated = lm._syzygy_rank(cone, sigmas, d) == syzygies
+            report.record("kernel_principal_on_charts", generators_ok and generated, d)
 
         dims_f2.append(f2_dim)
         dims_img.append(img_dim)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from adesurf.localmodel import (
     verify_extension_chain,
 )
 
-from .oracles import dense_rank, dense_rows
+from .oracles import dense_rank, dense_rows, per_degree_kernel_syzygy_checks
 
 
 def test_conifold_graded_dims():
@@ -60,6 +61,14 @@ def test_relation_validation():
         )
     with pytest.raises(RingConstructionError):
         TruncRing([("x", 0)], [])
+
+
+@pytest.mark.parametrize("var", [-1, "q", 5])
+def test_relation_of_an_unknown_variable_is_refused(var):
+    # -1 once indexed y from the end and rewrote y^2; "q" and 5 raised
+    # ValueError and IndexError
+    with pytest.raises(RingConstructionError, match="no variable"):
+        TruncRing([("x", 1), ("y", 1)], [(var, 2, {})])
 
 
 def test_normal_form_confluence_randomized():
@@ -276,6 +285,10 @@ def test_kernel_checks_fail_when_a_relation_is_lost(monkeypatch):
     assert {"dimension_additivity", "kernel_dimension"} <= failed
     assert not report.checks["dimension_additivity"]
     assert not report.checks["kernel_dimension"]
+    # the failure in degrees <= 2 sends every degree through the per-degree block
+    assert ("kernel_dimension", 4) in report.failures
+    monkeypatch.setattr(localmodel, "_kernel_syzygy_checks", per_degree_kernel_syzygy_checks)
+    assert dataclasses.asdict(verify_extension_chain(4)) == dataclasses.asdict(report)
 
 
 def test_graded_dim_against_exhaustive_reduction():

@@ -5,7 +5,9 @@ sufficient, ``min_generator_profile`` eliminates only in degrees that
 hold a generator, and ``check_free`` skips its loop when one rank over the
 coefficient subring proves freeness.  All three must answer exactly as
 the loops in ``tests/oracles.py``, which eliminate in every degree up to
-maxdeg.
+maxdeg.  ``_spanning_counts``, the Hilbert function of the free module
+over the polynomial part of the coefficient subring, must equal the ring's
+dimensions and the module's ranks wherever that rank settles freeness.
 """
 
 import itertools
@@ -262,6 +264,86 @@ def test_freeness_certificate_decides(monkeypatch):
     want = check_free_by_degree(fiber, (s,), "xyzs", 12)
     assert want == lm.DegreeCheck(False, 2)
     assert lm.check_free(fiber, (s,), "xyzs", 12) == want
+
+
+def test_freeness_certificate_work_stops_at_the_top_capped_degree(monkeypatch):
+    # over x, y, z on the central fiber only x is capped (x^2 is rewritten),
+    # so the certificate multiplies by 1 and x whatever maxdeg is
+    fiber = lm.central_fiber_ring(8)
+    x, y, z, s = (fiber.var(v) for v in "xyzs")
+    subring_monomials = lm.TruncRing.subring_monomials
+    for maxdeg in (8, 1000):
+        degrees = []
+
+        def counting(ring, coeff_vars, d):
+            degrees.append(d)
+            return subring_monomials(ring, coeff_vars, d)
+
+        with monkeypatch.context() as m:
+            m.setattr(lm.TruncRing, "subring_monomials", counting)
+            assert lm.check_free(fiber, (x - y, z + s), "xyz", maxdeg).ok
+        assert degrees == [0, 1, 0, 1]
+
+
+def test_min_generator_profile_reads_generator_degrees_once(monkeypatch):
+    ring = lm.conifold_ring(8)
+    x, y, z, s = (ring.var(v) for v in "xyzs")
+    degree = lm.RingElement.degree
+    reads = []
+
+    def counting(el):
+        reads.append(el)
+        return degree.fget(el)
+
+    monkeypatch.setattr(lm.RingElement, "degree", property(counting))
+    counts = []
+    for maxdeg in (8, 10**4):
+        reads.clear()
+        profile = lm.min_generator_profile(ring, (x - y, z - s), maxdeg)
+        assert profile == [0, 2] + [0] * (maxdeg - 1)
+        counts.append(len(reads))
+    assert counts[0] == counts[1]
+
+
+@st.composite
+def modules(draw):
+    """A module over a random ring: 0-2 homogeneous generators of degree 0-2 over any coefficient variables."""
+    ring = draw(rings())
+    gens = _elements(draw, ring, range(3), 2)
+    over = tuple(sorted(draw(st.sets(st.integers(0, ring.nvars - 1)))))
+    return lm.GradedModule(ring, tuple(gens), over)
+
+
+@settings(max_examples=100, deadline=None)
+@given(modules())
+def test_spanning_counts_are_dimensions_where_the_certificate_settles(module):
+    ring = module.ring
+    # the ring is the module on 1 over every variable, and the certificate settles it
+    whole = lm.GradedModule.over_full_ring(ring, (ring.const(1),))
+    assert lm._free_certificate(ring, whole, MAXDEG)
+    assert lm._spanning_counts(ring, whole, MAXDEG) == [ring.graded_dim(d) for d in range(MAXDEG + 1)]
+    counts = lm._spanning_counts(ring, module, MAXDEG)
+    settled = lm._free_certificate(ring, module, MAXDEG)
+    for d in range(MAXDEG + 1):
+        span = module.spanning_elements(d)
+        assert counts[d] == len(span)
+        if settled:
+            assert counts[d] == lm.rank(lm._vectors(ring, span, d))
+
+
+def test_spanning_counts_of_the_fiber_sequence():
+    # F_2 over x, y, z on the central fiber: free over C[y, z] on g and x g;
+    # the ideal (x - y, z) over y, z on the cone: free on its generators
+    fiber, cone = lm.central_fiber_ring(50), lm.cone_ring(50)
+    x, y, z, s = (fiber.var(v) for v in "xyzs")
+    f2 = lm.GradedModule(fiber, (x - y, z + s), (0, 1, 2))
+    cx, cy, cz = (cone.var(v) for v in "xyz")
+    ideal = lm.GradedModule(cone, (cx - cy, cz), (1, 2))
+    assert lm._spanning_counts(fiber, f2, 50) == [0] + [4 * d - 2 for d in range(1, 51)]
+    assert lm._spanning_counts(cone, ideal, 50) == [0] + [2 * d for d in range(1, 51)]
+    assert lm.check_free(cone, (cx - cy, cz), "yz", 50).ok
+    whole = lm.GradedModule.over_full_ring(cone, (cx - cy, cz))
+    assert lm.check_generate(cone, whole, (cx - cy, cz), "yz", 50).ok
 
 
 def test_basis_matches_recursion():
